@@ -9,13 +9,9 @@ blind, and then compare kriging variants on held-out points.
 import numpy as np
 
 import remsense as rs
-from remsense.kriging import KrigingConfig, normal_score, predict
-from remsense.shadowing import (
-    empirical_correlation,
-    extract_sf,
-    fit_correlation_model,
-    transformed_model,
-)
+from remsense.evaluation import fit_residual_model
+from remsense.kriging import KrigingConfig, predict
+from remsense.shadowing import SampleSet, extract_sf
 
 GS = rs.GeoPoint(35.72, -78.70, 10.0)
 PROP = rs.PropagationConfig(carrier_hz=3.32e9, tx_power_dbm=23.0)
@@ -29,35 +25,33 @@ measurements, _truth = rs.generate_campaign(scene, traj)
 print(f"campaign: {len(measurements)} measurements at 60 m altitude")
 
 sf = extract_sf(measurements, PROP, GS)
-values = np.array([s.z for s in sf])
+values = SampleSet.from_samples(sf).z
 print(f"shadowing residuals: mean {values.mean():+.3f} dB, "
       f"sd {values.std(ddof=1):.3f} dB (generator sigma_z = 3)")
 
-table = empirical_correlation(sf)
-fitted = fit_correlation_model(table)
-print("refit from the flight alone:")
+# hold out every 7th sample; fit on the rest (the same fit `remsense eval`
+# and `remsense reconstruct` use) and predict the held-out ones from it
+held = sf[::7]
+rest = SampleSet.from_samples([s for i, s in enumerate(sf) if i % 7])
+fit = fit_residual_model(rest, "TG_OK")
+fitted, scores = fit.corr, fit.corr_u
+print(f"refit blind from {len(rest)} of the samples:")
 print(f"  a={fitted.a:.3f}  p1={fitted.p1:.4f}  p2={fitted.p2:.4f}  "
       f"q={fitted.q:.3f}  sigma_z={fitted.sigma_z:.3f}")
+print(f"  normal scores: a={scores.a:.3f}  p1={scores.p1:.4f}  "
+      f"p2={scores.p2:.4f}  q={scores.q:.3f}  sigma_u={scores.sigma_z:.3f}")
 
-# hold out every 7th sample and predict it from the rest
-held = sf[::7]
-rest = [s for i, s in enumerate(sf) if i % 7]
-cfg = KrigingConfig(radius_m=200.0)
-mean_rest = float(np.mean([s.z for s in rest]))
-
-errors = {"OK": [], "SK": [], "TG_OK": []}
-transform = normal_score(rest)
-model_u = transformed_model(fitted, 1.0)
+configs = {
+    "OK": KrigingConfig(radius_m=200.0),
+    "SK": KrigingConfig(radius_m=200.0, variant="SK", mean_z=fit.mean_z),
+    "TG_OK": KrigingConfig(radius_m=200.0, variant="TG_OK"),
+}
+errors = {name: [] for name in configs}
 for s in held:
-    ok = predict(rest, fitted, s.location, cfg)
-    sk = predict(rest, fitted, s.location,
-                 KrigingConfig(radius_m=200.0, variant="SK", mean_z=mean_rest))
-    tg = predict(rest, fitted, s.location,
-                 KrigingConfig(radius_m=200.0, variant="TG_OK"),
-                 transform=transform, model_u=model_u)
-    errors["OK"].append(ok.z_hat - s.z)
-    errors["SK"].append(sk.z_hat - s.z)
-    errors["TG_OK"].append(tg.z_hat - s.z)
+    for name, cfg in configs.items():
+        pred = predict(rest, fitted, s.location, cfg,
+                       transform=fit.transform, model_u=fit.corr_u)
+        errors[name].append(pred.z_hat - s.z)
 
 print(f"hold-out check on {len(held)} points (residual sd would be "
       f"{values.std(ddof=1):.2f} dB with no interpolation):")

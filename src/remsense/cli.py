@@ -21,12 +21,18 @@ from .calibration import (
     read_delta_csv,
     write_delta_csv,
 )
-from .completion import GridSpec, McAssistedGpr, McConfig, build_grid
+from .completion import McAssistedGpr, McConfig, build_grid
 from .errors import RemSenseError
-from .evaluation import EvalConfig, ingest_measurements, monte_carlo_eval, sweep
+from .evaluation import (
+    EvalConfig,
+    fit_residual_model,
+    ingest_measurements,
+    monte_carlo_eval,
+    sweep,
+)
 from .geo import GeoPoint, link_geometry_batch
-from .gpr import estimate_hyperparameters, gpr_fit, gpr_predict_batch
-from .kriging import KrigingConfig, normal_score, predict as kriging_predict
+from .gpr import gpr_fit, gpr_predict_batch
+from .kriging import KrigingConfig, predict as kriging_predict
 from .propagation import trpl_received_power_db
 from .scenes import (
     _corr_from_dict,
@@ -42,7 +48,6 @@ from .shadowing import (
     empirical_correlation,
     extract_sf,
     fit_correlation_model,
-    transformed_model,
 )
 
 
@@ -148,19 +153,6 @@ def _cmd_calibrate(args):
 # ------------------------------------------------------------ reconstruct
 
 
-def _grid_nodes(measurements, spacing_m, alt_m):
-    lat = [m.location.lat_deg for m in measurements]
-    lon = [m.location.lon_deg for m in measurements]
-    alt = [m.location.alt_m for m in measurements]
-    samples = SampleSet(lat, lon, alt, np.zeros(len(lat)))
-    spec = build_grid(samples, spacing_m)
-    if alt_m is None:
-        alt_m = float(np.mean(alt))
-    spec = GridSpec(spec.origin, spec.spacing_m, spec.n_rows, spec.n_cols,
-                    alt_m)
-    return spec
-
-
 def _cmd_reconstruct(args):
     doc = _load_config(args.config)
     gs, prop = _station_and_prop(doc)
@@ -172,8 +164,11 @@ def _cmd_reconstruct(args):
         delta = read_delta_csv(args.delta_csv)
     measurements = ingest_measurements(args.measurements)
     print(f"read {len(measurements)} measurements")
-    spec = _grid_nodes(measurements, args.spacing, args.alt)
-    sf = extract_sf(measurements, prop, gs, delta_gain=delta)
+    samples = SampleSet.from_samples(
+        extract_sf(measurements, prop, gs, delta_gain=delta))
+    spec = build_grid(samples, args.spacing)
+    if args.alt is not None:
+        spec = dataclasses.replace(spec, alt_m=args.alt)
 
     lat_g, lon_g = spec.node_latlon()
     lat_q = lat_g.ravel()
@@ -187,31 +182,25 @@ def _cmd_reconstruct(args):
 
     z_hat = np.zeros(lat_q.size)
     if method != "TRPL_only":
-        table = empirical_correlation(sf)
-        corr = fit_correlation_model(table)
+        fit = fit_residual_model(samples, method)
         if method in ("GPR", "MC_GPR"):
-            sigma_y, sigma_gp = estimate_hyperparameters(sf, corr)
-            samples = SampleSet.from_samples(sf)
-            model = gpr_fit(samples, corr, sigma_y, sigma_gp)
+            model = gpr_fit(samples, fit.corr, fit.sigma_y, fit.sigma_gp)
             if method == "GPR":
                 z_hat, _ = gpr_predict_batch(model, lat_q, lon_q, alt_q)
             else:
                 pipeline = McAssistedGpr(model, _mc_from_dict(doc.get("mc", {})))
                 z_hat = pipeline.predict(lat_q, lon_q)
         else:
-            zt = np.array([s.z for s in sf])
-            kcfg = KrigingConfig(radius_m=radius_m, variant=method,
-                                 mean_z=float(np.mean(zt)))
-            transform = model_u = None
-            if method in ("TG_OK", "TG_SK"):
-                transform = normal_score(sf)
-                model_u = transformed_model(corr, 1.0)
-            preds = []
-            for la, lo, al in zip(lat_q, lon_q, alt_q):
-                p = kriging_predict(sf, corr, GeoPoint(la, lo, al), kcfg,
-                                    transform=transform, model_u=model_u)
-                preds.append(p.z_hat)
-            z_hat = np.array(preds)
+            variant = (method if fit.transform is not None
+                       else method.replace("TG_", ""))
+            kcfg = KrigingConfig(radius_m=radius_m, variant=variant,
+                                 mean_z=fit.mean_z)
+            z_hat = np.array([
+                kriging_predict(samples, fit.corr, GeoPoint(la, lo, al), kcfg,
+                                transform=fit.transform,
+                                model_u=fit.corr_u).z_hat
+                for la, lo, al in zip(lat_q, lon_q, alt_q)
+            ])
 
     power = rhat + z_hat
     with open(args.out, "w", newline="") as fh:

@@ -27,7 +27,12 @@ from .completion import McAssistedGpr, McConfig
 from .errors import FitDiverged, InsufficientData, ParseError, RangeError
 from .geo import GeoPoint, _arc_distance, link_geometry_batch
 from .gpr import estimate_hyperparameters, gpr_fit, gpr_predict_batch
-from .kriging import normal_score, solve_ordinary, solve_simple
+from .kriging import (
+    NormalScoreTransform,
+    normal_score,
+    solve_ordinary,
+    solve_simple,
+)
 from .propagation import PropagationConfig, trpl_received_power_db
 from .scenes import MEASUREMENT_CSV_HEADER
 from .shadowing import (
@@ -196,27 +201,96 @@ def _campaigns_identical(a, b):
     )
 
 
-@dataclass
-class _FittedModels:
-    corr: Optional[CorrelationModel] = None
-    corr_u: Optional[CorrelationModel] = None
-    transform: object = None
+@dataclass(frozen=True)
+class ResidualModel:
+    """What the residual predictors need, fitted from one sample set.
+
+    ``transform`` and ``corr_u`` (the correlation model of the normal
+    scores) are set for the TG methods only, and stay None when the
+    samples are too few for a normal-score transform; the TG methods
+    then run as their plain variant.
+    """
+
+    corr: CorrelationModel
+    mean_z: float = 0.0
     sigma_y: float = 0.0
     sigma_gp: float = 0.0
-    mean_z: float = 0.0
-    delta: object = None
+    transform: Optional[NormalScoreTransform] = None
+    corr_u: Optional[CorrelationModel] = None
+
+
+def fit_residual_model(samples: Optional[SampleSet], method: str,
+                       corr: CorrelationModel = None, mean_z: float = None,
+                       sigma_split: tuple = None, dh_edges=None,
+                       dv_edges=None) -> ResidualModel:
+    """Fit the residual model ``method`` needs from shadow-fading samples.
+
+    Args:
+        samples: the residuals, or None when ``corr`` is given.
+        method: a reconstruction method other than ``TRPL_only``.
+        corr, mean_z, sigma_split: used as given instead of fitted.
+        dh_edges, dv_edges: lag bins of the empirical correlation tables.
+
+    Raises:
+        ValueError: no samples and no ``corr``, or a TG method without
+            samples.
+    """
+    if corr is None:
+        if samples is None:
+            raise ValueError(
+                f"method {method} needs a train campaign or corr_model"
+            )
+        corr = fit_correlation_model(empirical_correlation(
+            samples, dh_edges=dh_edges, dv_edges=dv_edges
+        ))
+    if mean_z is None:
+        mean_z = 0.0 if samples is None else float(np.mean(samples.z))
+
+    sigma_y = sigma_gp = 0.0
+    if method in ("GPR", "MC_GPR"):
+        if sigma_split is not None:
+            sigma_y, sigma_gp = sigma_split
+        elif samples is not None:
+            sigma_y, sigma_gp = estimate_hyperparameters(
+                samples, corr, dh_edges=dh_edges, dv_edges=dv_edges
+            )
+        else:
+            sigma_y = corr.sigma_z
+
+    transform = corr_u = None
+    if method in ("TG_OK", "TG_SK"):
+        if samples is None:
+            raise ValueError("TG variants need a train campaign")
+        try:
+            transform = normal_score(samples)
+        except InsufficientData as exc:
+            warnings.warn(
+                f"{exc}; falling back to the plain kriging variant"
+            )
+    if transform is not None:
+        scores = SampleSet(samples.lat, samples.lon, samples.alt,
+                           transform.forward(samples.z), samples.seq)
+        try:
+            corr_u = fit_correlation_model(empirical_correlation(
+                scores, dh_edges=dh_edges, dv_edges=dv_edges
+            ))
+        except (InsufficientData, FitDiverged):
+            # scores are near standard normal; reuse the raw-domain
+            # shape at unit variance
+            corr_u = transformed_model(corr, 1.0)
+    return ResidualModel(corr, mean_z, sigma_y, sigma_gp, transform, corr_u)
 
 
 def _fit_from_train(cfg: EvalConfig, train):
-    """Fit whatever the chosen method needs, from the training campaign only."""
-    models = _FittedModels()
-    needs_corr = cfg.method != "TRPL_only"
-    needs_delta = cfg.calibrated
+    """Gain correction and residual model, from the training campaign only.
 
-    if needs_delta:
-        if cfg.delta is not None:
-            models.delta = cfg.delta
-        else:
+    Returns ``(delta, residual model)``; either is None when the method
+    does not need it.
+    """
+    delta = None
+    if cfg.calibrated:
+        delta = cfg.delta
+        if delta is None:
             if train is None:
                 raise ValueError("calibrated evaluation needs a train campaign")
             ratios = estimate_a_uav(train, cfg.prop, cfg.gs, campaign="train")
@@ -225,73 +299,20 @@ def _fit_from_train(cfg: EvalConfig, train):
                 bin_deg=cfg.calibration_bin_deg,
                 min_support=cfg.calibration_min_support,
             )
-            models.delta = delta_gain(eff, cfg.prop.uav_pattern)
+            delta = delta_gain(eff, cfg.prop.uav_pattern)
+    if cfg.method == "TRPL_only":
+        return delta, None
 
-    if not needs_corr:
-        return models
-
-    sf_train = None
+    samples = None
     if train is not None:
-        sf_train = extract_sf(train, cfg.prop, cfg.gs, delta_gain=models.delta)
-
-    if cfg.corr_model is not None:
-        models.corr = cfg.corr_model
-    else:
-        if sf_train is None:
-            raise ValueError(
-                f"method {cfg.method} needs a train campaign or corr_model"
-            )
-        table = empirical_correlation(
-            sf_train, dh_edges=cfg.dh_edges, dv_edges=cfg.dv_edges
+        samples = SampleSet.from_samples(
+            extract_sf(train, cfg.prop, cfg.gs, delta_gain=delta)
         )
-        models.corr = fit_correlation_model(table)
-
-    if sf_train is not None:
-        zt = np.array([s.z for s in sf_train])
-        models.mean_z = float(np.mean(zt))
-    if cfg.mean_z is not None:
-        models.mean_z = cfg.mean_z
-
-    if cfg.method in ("GPR", "MC_GPR"):
-        if cfg.sigma_split is not None:
-            models.sigma_y, models.sigma_gp = cfg.sigma_split
-        elif sf_train is not None:
-            models.sigma_y, models.sigma_gp = estimate_hyperparameters(
-                sf_train, models.corr,
-                dh_edges=cfg.dh_edges, dv_edges=cfg.dv_edges,
-            )
-        else:
-            models.sigma_y, models.sigma_gp = models.corr.sigma_z, 0.0
-
-    if cfg.method in ("TG_OK", "TG_SK"):
-        if sf_train is None:
-            raise ValueError("TG variants need a train campaign")
-        try:
-            models.transform = normal_score(sf_train)
-        except InsufficientData:
-            warnings.warn(
-                "train campaign too small for a normal-score transform; "
-                "falling back to the plain kriging variant"
-            )
-            models.transform = None
-        if models.transform is not None:
-            u_samples = SampleSet(
-                [s.location.lat_deg for s in sf_train],
-                [s.location.lon_deg for s in sf_train],
-                [s.location.alt_m for s in sf_train],
-                models.transform.forward(np.array([s.z for s in sf_train])),
-                [s.seq for s in sf_train],
-            )
-            try:
-                table_u = empirical_correlation(
-                    u_samples, dh_edges=cfg.dh_edges, dv_edges=cfg.dv_edges
-                )
-                models.corr_u = fit_correlation_model(table_u)
-            except (InsufficientData, FitDiverged):
-                # scores are near standard normal; reuse the raw-domain
-                # shape at unit variance
-                models.corr_u = transformed_model(models.corr, 1.0)
-    return models
+    return delta, fit_residual_model(
+        samples, cfg.method, corr=cfg.corr_model, mean_z=cfg.mean_z,
+        sigma_split=cfg.sigma_split, dh_edges=cfg.dh_edges,
+        dv_edges=cfg.dv_edges,
+    )
 
 
 @dataclass
@@ -305,7 +326,7 @@ class _TestData:
     n: int
 
 
-def _prepare_test(cfg: EvalConfig, test, models, values_override=None):
+def _prepare_test(cfg: EvalConfig, test, delta, values_override=None):
     lat = np.array([m.location.lat_deg for m in test])
     lon = np.array([m.location.lon_deg for m in test])
     alt = np.array([m.location.alt_m for m in test])
@@ -317,8 +338,8 @@ def _prepare_test(cfg: EvalConfig, test, models, values_override=None):
             f"test measurement seq={test[bad].seq} coincides with the station"
         )
     rhat = trpl_received_power_db(cfg.prop, geom)
-    if cfg.calibrated and models.delta is not None:
-        rhat = rhat + models.delta.delta_at(geom.phi_r, geom.theta_r)
+    if delta is not None:
+        rhat = rhat + delta.delta_at(geom.phi_r, geom.theta_r)
     elev = np.asarray(geom.theta_t)
     elev_bin = np.clip(
         np.floor(elev / ELEVATION_BIN_DEG).astype(int), 0,
@@ -330,52 +351,22 @@ def _prepare_test(cfg: EvalConfig, test, models, values_override=None):
     return _TestData(lat, lon, alt, rhat, elev_bin, values, len(test))
 
 
-def _residuals_ok_sk(cfg, models, data, s_idx, z_m, t_idx, counters):
-    variant = cfg.method
-    corr = models.corr
-    lat_s, lon_s, alt_s = data.lat[s_idx], data.lon[s_idx], data.alt[s_idx]
-    lat_t, lon_t, alt_t = data.lat[t_idx], data.lon[t_idx], data.alt[t_idx]
-    dh_ss = _arc_distance(lat_s[:, None], lon_s[:, None],
-                          lat_s[None, :], lon_s[None, :])
-    dv_ss = np.abs(alt_s[:, None] - alt_s[None, :])
-    dh_ts = _arc_distance(lat_t[:, None], lon_t[:, None],
-                          lat_s[None, :], lon_s[None, :])
-    dv_ts = np.abs(alt_t[:, None] - alt_s[None, :])
-    out = np.zeros(len(t_idx))
-    if variant == "OK":
-        g_ss = corr.semivariogram_at(dh_ss, dv_ss)
-        g_ts = corr.semivariogram_at(dh_ts, dv_ts)
-        for k in range(len(t_idx)):
-            nb = np.nonzero(dh_ts[k] <= cfg.radius_m)[0]
-            if nb.size == 0:
-                counters["fallback_targets"] += 1
-                continue
-            w, _mu = solve_ordinary(
-                g_ss[np.ix_(nb, nb)], g_ts[k, nb], cfg.jitter
-            )
-            out[k] = w @ z_m[nb]
+def _residuals_kriging(cfg, fit, data, s_idx, z_m, t_idx, counters):
+    """Krige the residual at each target from its sampled neighbours.
+
+    The TG methods krige normal scores with the score-domain model and
+    back-transform; without a transform they run as the plain variant.
+    The lag and model matrices are built once; each target solves on
+    the sampled points within ``cfg.radius_m``, in sample order.
+    """
+    ordinary = cfg.method in ("OK", "TG_OK")
+    transform = fit.transform
+    if transform is None:
+        model, values, mean = fit.corr, z_m, fit.mean_z
     else:
-        m_z = models.mean_z
-        c_ss = corr.covariance_at(dh_ss, dv_ss)
-        c_ts = corr.covariance_at(dh_ts, dv_ts)
-        zc = z_m - m_z
-        for k in range(len(t_idx)):
-            nb = np.nonzero(dh_ts[k] <= cfg.radius_m)[0]
-            if nb.size == 0:
-                counters["fallback_targets"] += 1
-                continue
-            w = solve_simple(c_ss[np.ix_(nb, nb)], c_ts[k, nb], cfg.jitter)
-            out[k] = m_z + w @ zc[nb]
-    return out
-
-
-def _residuals_tg(cfg, models, data, s_idx, z_m, t_idx, counters):
-    transform = models.transform
-    corr_u = models.corr_u or models.corr
-    u_m = np.asarray(transform.forward(z_m), dtype=float)
-    m_u = transform.mean_u
-    var_u = corr_u.sigma_z**2
-    phi2 = transform.inverse_second_derivative(m_u)
+        model = fit.corr_u
+        values = np.asarray(transform.forward(z_m), dtype=float)
+        mean = transform.mean_u
     lat_s, lon_s, alt_s = data.lat[s_idx], data.lon[s_idx], data.alt[s_idx]
     lat_t, lon_t, alt_t = data.lat[t_idx], data.lon[t_idx], data.alt[t_idx]
     dh_ss = _arc_distance(lat_s[:, None], lon_s[:, None],
@@ -384,36 +375,38 @@ def _residuals_tg(cfg, models, data, s_idx, z_m, t_idx, counters):
     dh_ts = _arc_distance(lat_t[:, None], lon_t[:, None],
                           lat_s[None, :], lon_s[None, :])
     dv_ts = np.abs(alt_t[:, None] - alt_s[None, :])
-    r_ss = corr_u.correlation_at(dh_ss, dv_ss)
-    r_ts = corr_u.correlation_at(dh_ts, dv_ts)
+    if ordinary:
+        a_ss = model.semivariogram_at(dh_ss, dv_ss)
+        a_ts = model.semivariogram_at(dh_ts, dv_ts)
+    else:
+        a_ss = model.covariance_at(dh_ss, dv_ss)
+        a_ts = model.covariance_at(dh_ts, dv_ts)
+        centred = values - mean
     out = np.zeros(len(t_idx))
-    tg_ok = cfg.method == "TG_OK"
     for k in range(len(t_idx)):
         nb = np.nonzero(dh_ts[k] <= cfg.radius_m)[0]
         if nb.size == 0:
             counters["fallback_targets"] += 1
             continue
-        u_nb = u_m[nb]
-        if tg_ok:
-            g_nn = var_u * (1.0 - r_ss[np.ix_(nb, nb)])
-            g_t = var_u * (1.0 - r_ts[k, nb])
-            w, mu = solve_ordinary(g_nn, g_t, cfg.jitter)
-            u_hat = float(w @ u_nb)
-            mse_u = max(float(w @ g_t + mu), 0.0)
-            out[k] = transform.inverse(u_hat) + phi2 * (mse_u / 2.0 - mu)
+        a_t = a_ts[k, nb]
+        if ordinary:
+            w, mu = solve_ordinary(a_ss[np.ix_(nb, nb)], a_t, cfg.jitter)
+            est = w @ values[nb]
         else:
-            c_nn = var_u * r_ss[np.ix_(nb, nb)]
-            c_t = var_u * r_ts[k, nb]
-            w = solve_simple(c_nn, c_t, cfg.jitter)
-            u_hat = float(m_u + w @ (u_nb - m_u))
-            mse_u = max(var_u - float(w @ c_t), 0.0)
-            out[k] = transform.inverse(u_hat) + (phi2 / 2.0) * mse_u
+            w = solve_simple(a_ss[np.ix_(nb, nb)], a_t, cfg.jitter)
+            mu = 0.0
+            est = mean + w @ centred[nb]
+        if transform is not None:
+            mse = w @ a_t + mu if ordinary else model.sigma_z**2 - w @ a_t
+            est = transform.back_transform(float(est), max(float(mse), 0.0),
+                                           mu)
+        out[k] = est
     return out
 
 
-def _residuals_gpr(cfg, models, data, s_idx, z_m, t_idx, counters):
+def _residuals_gpr(cfg, fit, data, s_idx, z_m, t_idx, counters):
     train = SampleSet(data.lat[s_idx], data.lon[s_idx], data.alt[s_idx], z_m)
-    model = gpr_fit(train, models.corr, models.sigma_y, models.sigma_gp)
+    model = gpr_fit(train, fit.corr, fit.sigma_y, fit.sigma_gp)
     if cfg.method == "GPR":
         z_hat, _var = gpr_predict_batch(
             model, data.lat[t_idx], data.lon[t_idx], data.alt[t_idx]
@@ -427,7 +420,7 @@ def _residuals_gpr(cfg, models, data, s_idx, z_m, t_idx, counters):
     return pipeline.predict(data.lat[t_idx], data.lon[t_idx])
 
 
-def _run_iteration(cfg, models, data, index):
+def _run_iteration(cfg, fit, data, index):
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, index)))
     sampled = rng.choice(data.n, size=cfg.m_samples, replace=False)
     mask = np.ones(data.n, dtype=bool)
@@ -439,21 +432,12 @@ def _run_iteration(cfg, models, data, index):
     z_m = data.values.take(sampled) - data.rhat[sampled]
     if cfg.method == "TRPL_only":
         w_hat = np.zeros(len(targets))
-    elif cfg.method in ("OK", "SK"):
-        w_hat = _residuals_ok_sk(cfg, models, data, sampled, z_m, targets,
-                                 counters)
-    elif cfg.method in ("TG_OK", "TG_SK"):
-        if models.transform is None:
-            # fall back to the plain variant when no transform could be fit
-            plain = replace(cfg, method=cfg.method[3:])
-            w_hat = _residuals_ok_sk(plain, models, data, sampled, z_m,
-                                     targets, counters)
-        else:
-            w_hat = _residuals_tg(cfg, models, data, sampled, z_m, targets,
-                                  counters)
-    else:
-        w_hat = _residuals_gpr(cfg, models, data, sampled, z_m, targets,
+    elif cfg.method in ("GPR", "MC_GPR"):
+        w_hat = _residuals_gpr(cfg, fit, data, sampled, z_m, targets,
                                counters)
+    else:
+        w_hat = _residuals_kriging(cfg, fit, data, sampled, z_m, targets,
+                                   counters)
 
     pred = data.rhat[targets] + w_hat
     measured = data.values.take(targets)
@@ -497,17 +481,17 @@ def monte_carlo_eval(cfg: EvalConfig, test_values: CampaignValues = None
             "train and test campaigns are identical; the protocol requires "
             "separate campaigns"
         )
-    models = _fit_from_train(cfg, train)
-    data = _prepare_test(cfg, test, models, values_override=test_values)
+    delta, fit = _fit_from_train(cfg, train)
+    data = _prepare_test(cfg, test, delta, values_override=test_values)
 
     indices = range(cfg.iterations)
     if cfg.workers > 1:
         with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
             results = list(pool.map(
-                lambda i: _run_iteration(cfg, models, data, i), indices
+                lambda i: _run_iteration(cfg, fit, data, i), indices
             ))
     else:
-        results = [_run_iteration(cfg, models, data, i) for i in indices]
+        results = [_run_iteration(cfg, fit, data, i) for i in indices]
 
     rmse = [r[0] for r in results]
     bin_stack = np.vstack([r[1] for r in results])

@@ -129,43 +129,6 @@ def solve_simple(cov_nn: np.ndarray, cov_t: np.ndarray, jitter: float):
     return _solve_with_retry(cov_nn, cov_t, jitter, k)
 
 
-def ok_predict(samples, model: CorrelationModel, target: GeoPoint,
-               cfg: KrigingConfig) -> KrigingPrediction:
-    """Ordinary-kriging estimate of the residual at ``target``."""
-    s = SampleSet.from_samples(samples)
-    idx = select_neighbors(s, target, cfg.radius_m)
-    dh_nn, dv_nn, dh_t, dv_t = _lag_matrices(s, idx, target, target.alt_m)
-    gamma_nn = model.semivariogram_at(dh_nn, dv_nn)
-    gamma_t = model.semivariogram_at(dh_t, dv_t)
-    w, mu = solve_ordinary(gamma_nn, gamma_t, cfg.jitter)
-    z_hat = float(w @ s.z[idx])
-    mse = float(w @ gamma_t + mu)
-    return KrigingPrediction(
-        z_hat=z_hat,
-        mse=max(mse, 0.0),
-        neighbors_used=len(idx),
-        lagrange_mu=mu,
-    )
-
-
-def sk_predict(samples, model: CorrelationModel, target: GeoPoint,
-               cfg: KrigingConfig) -> KrigingPrediction:
-    """Simple-kriging estimate around the known mean ``cfg.mean_z``."""
-    s = SampleSet.from_samples(samples)
-    idx = select_neighbors(s, target, cfg.radius_m)
-    dh_nn, dv_nn, dh_t, dv_t = _lag_matrices(s, idx, target, target.alt_m)
-    cov_nn = model.covariance_at(dh_nn, dv_nn)
-    cov_t = model.covariance_at(dh_t, dv_t)
-    w = solve_simple(cov_nn, cov_t, cfg.jitter)
-    z_hat = float(cfg.mean_z + w @ (s.z[idx] - cfg.mean_z))
-    mse = float(model.sigma_z**2 - w @ cov_t)
-    return KrigingPrediction(
-        z_hat=z_hat,
-        mse=max(mse, 0.0),
-        neighbors_used=len(idx),
-    )
-
-
 class NormalScoreTransform:
     """Empirical normal-score transform with a smooth monotone inverse.
 
@@ -203,6 +166,7 @@ class NormalScoreTransform:
         self._smooth_inv = np.polynomial.Polynomial.fit(
             u_nodes, z_nodes, deg
         )
+        self._phi2 = self.inverse_second_derivative(self.mean_u)
 
     @staticmethod
     def _eval(interp, x_nodes, y_nodes, slopes, q):
@@ -233,6 +197,18 @@ class NormalScoreTransform:
         f = self._smooth_inv
         return float((f(u + step) - 2.0 * f(u) + f(u - step)) / step**2)
 
+    def back_transform(self, u_hat: float, mse_u: float,
+                       mu: float = 0.0) -> float:
+        """Kriged normal score back to data units, bias-corrected.
+
+        Adds the second-order correction ``phi''(mean_u) (mse_u / 2 - mu)``
+        for score-domain kriging variance ``mse_u`` and ordinary-kriging
+        Lagrange multiplier ``mu``.  Simple kriging has ``mu = 0``: there
+        ``mse_u`` is both the SK variance and Var U0 - Var u_hat, so the
+        correction vanishes exactly at sampled locations.
+        """
+        return self.inverse(u_hat) + self._phi2 * (mse_u / 2.0 - mu)
+
 
 def normal_score(sf) -> NormalScoreTransform:
     """Build the normal-score transform from residual samples.
@@ -261,6 +237,58 @@ def normal_score(sf) -> NormalScoreTransform:
     return NormalScoreTransform(z_nodes, u_nodes, mean_u=float(np.mean(u)))
 
 
+def _krige(samples, model: CorrelationModel, target: GeoPoint,
+           cfg: KrigingConfig, ordinary: bool,
+           transform: NormalScoreTransform = None) -> KrigingPrediction:
+    """One target's estimate and variance, for every variant.
+
+    ``ordinary`` picks the semivariogram system with a Lagrange
+    multiplier over the covariance system around a known mean.  With a
+    ``transform`` the neighbours' normal scores are kriged around
+    ``transform.mean_u`` and the estimate is back-transformed; without
+    one the residuals are kriged around ``cfg.mean_z``.
+    """
+    s = SampleSet.from_samples(samples)
+    idx = select_neighbors(s, target, cfg.radius_m)
+    dh_nn, dv_nn, dh_t, dv_t = _lag_matrices(s, idx, target, target.alt_m)
+    values = s.z[idx]
+    mean = cfg.mean_z
+    if transform is not None:
+        values = np.asarray(transform.forward(values), dtype=float)
+        mean = transform.mean_u
+    mu = None
+    if ordinary:
+        gamma_nn = model.semivariogram_at(dh_nn, dv_nn)
+        gamma_t = model.semivariogram_at(dh_t, dv_t)
+        w, mu = solve_ordinary(gamma_nn, gamma_t, cfg.jitter)
+        z_hat = float(w @ values)
+        mse = max(float(w @ gamma_t + mu), 0.0)
+    else:
+        cov_nn = model.covariance_at(dh_nn, dv_nn)
+        cov_t = model.covariance_at(dh_t, dv_t)
+        w = solve_simple(cov_nn, cov_t, cfg.jitter)
+        z_hat = float(mean + w @ (values - mean))
+        mse = max(float(model.sigma_z**2 - w @ cov_t), 0.0)
+    if transform is not None:
+        z_hat = transform.back_transform(
+            z_hat, mse, 0.0 if mu is None else mu)
+    return KrigingPrediction(
+        z_hat=z_hat, mse=mse, neighbors_used=len(idx), lagrange_mu=mu
+    )
+
+
+def ok_predict(samples, model: CorrelationModel, target: GeoPoint,
+               cfg: KrigingConfig) -> KrigingPrediction:
+    """Ordinary-kriging estimate of the residual at ``target``."""
+    return _krige(samples, model, target, cfg, ordinary=True)
+
+
+def sk_predict(samples, model: CorrelationModel, target: GeoPoint,
+               cfg: KrigingConfig) -> KrigingPrediction:
+    """Simple-kriging estimate around the known mean ``cfg.mean_z``."""
+    return _krige(samples, model, target, cfg, ordinary=False)
+
+
 def tg_predict(samples, model_u: CorrelationModel, target: GeoPoint,
                cfg: KrigingConfig,
                transform: NormalScoreTransform) -> KrigingPrediction:
@@ -271,37 +299,10 @@ def tg_predict(samples, model_u: CorrelationModel, target: GeoPoint,
     the inverse map's curvature at that global mean.  The returned
     ``mse`` is the kriging variance in the normal-score domain.
     """
-    s = SampleSet.from_samples(samples)
-    idx = select_neighbors(s, target, cfg.radius_m)
-    u = np.asarray(transform.forward(s.z[idx]), dtype=float)
-    m_u = transform.mean_u
-
-    dh_nn, dv_nn, dh_t, dv_t = _lag_matrices(s, idx, target, target.alt_m)
-    phi2 = transform.inverse_second_derivative(m_u)
-
-    if cfg.variant == "TG_OK":
-        gamma_nn = model_u.semivariogram_at(dh_nn, dv_nn)
-        gamma_t = model_u.semivariogram_at(dh_t, dv_t)
-        w, mu = solve_ordinary(gamma_nn, gamma_t, cfg.jitter)
-        u_hat = float(w @ u)
-        mse_u = max(float(w @ gamma_t + mu), 0.0)
-        z_hat = float(transform.inverse(u_hat)) + phi2 * (mse_u / 2.0 - mu)
-        return KrigingPrediction(
-            z_hat=z_hat, mse=mse_u, neighbors_used=len(idx), lagrange_mu=mu
-        )
-    if cfg.variant == "TG_SK":
-        cov_nn = model_u.covariance_at(dh_nn, dv_nn)
-        cov_t = model_u.covariance_at(dh_t, dv_t)
-        w = solve_simple(cov_nn, cov_t, cfg.jitter)
-        u_hat = float(m_u + w @ (u - m_u))
-        wc = float(w @ cov_t)
-        # sigma_u^2 - sum(w C) is both the bias of phi(u_hat) under the
-        # second-order expansion (Var U0 - Var u_hat) and the SK variance,
-        # so the correction vanishes exactly at sampled locations
-        mse_u = max(float(model_u.sigma_z**2 - wc), 0.0)
-        z_hat = float(transform.inverse(u_hat)) + (phi2 / 2.0) * mse_u
-        return KrigingPrediction(z_hat=z_hat, mse=mse_u, neighbors_used=len(idx))
-    raise ValueError(f"tg_predict called with variant {cfg.variant!r}")
+    if cfg.variant not in ("TG_OK", "TG_SK"):
+        raise ValueError(f"tg_predict called with variant {cfg.variant!r}")
+    return _krige(samples, model_u, target, cfg, cfg.variant == "TG_OK",
+                  transform)
 
 
 def predict(samples, model: CorrelationModel, target: GeoPoint,
@@ -312,16 +313,15 @@ def predict(samples, model: CorrelationModel, target: GeoPoint,
     Targets with an empty neighborhood fall back to the deterministic
     model alone (residual 0, prior variance) and are flagged.
     """
-    try:
-        if cfg.variant == "OK":
-            return ok_predict(samples, model, target, cfg)
-        if cfg.variant == "SK":
-            return sk_predict(samples, model, target, cfg)
-        if cfg.variant in ("TG_OK", "TG_SK"):
-            if transform is None:
-                raise ValueError("TG variants need a normal-score transform")
-            return tg_predict(samples, model_u or model, target, cfg, transform)
+    if cfg.variant not in ("OK", "SK", "TG_OK", "TG_SK"):
         raise ValueError(f"unknown kriging variant {cfg.variant!r}")
+    trans_gaussian = cfg.variant.startswith("TG_")
+    if trans_gaussian and transform is None:
+        raise ValueError("TG variants need a normal-score transform")
+    try:
+        return _krige(samples, (model_u or model) if trans_gaussian else model,
+                      target, cfg, cfg.variant in ("OK", "TG_OK"),
+                      transform if trans_gaussian else None)
     except NoNeighbors:
         return KrigingPrediction(
             z_hat=0.0,

@@ -207,11 +207,6 @@ def sample_correlated_field(points, corr: CorrelationModel, seed):
         TooManyPoints: above the dense factorization bound (the check is
             skipped for sigma_z = 0, which needs no factorization).
     """
-    if len(points) > MAX_FIELD_POINTS and corr.sigma_z > 0.0:
-        raise TooManyPoints(
-            f"{len(points)} points exceeds the dense factorization bound "
-            f"of {MAX_FIELD_POINTS}"
-        )
     sampler = CorrelatedFieldSampler(
         np.array([p.lat_deg for p in points]),
         np.array([p.lon_deg for p in points]),

@@ -7,8 +7,10 @@ import pytest
 import remsense as rs
 from remsense.calibration import read_delta_csv
 from remsense.cli import main
-from remsense.evaluation import ingest_measurements
+from remsense import kriging
+from remsense.evaluation import fit_residual_model, ingest_measurements
 from remsense.geo import link_geometry
+from remsense.kriging import KrigingConfig
 from remsense.propagation import trpl_received_power_db
 from remsense.scenes import (
     SceneSpec,
@@ -23,6 +25,7 @@ from remsense.scenes import (
     stack_altitudes,
     write_measurements_csv,
 )
+from remsense.shadowing import SampleSet, extract_sf, transformed_model
 
 from conftest import CORR, GS, PROP
 
@@ -169,6 +172,55 @@ def test_reconstruct_kriged_grid(work, tmp_path):
     assert code == 0
     body = np.loadtxt(out, delimiter=",", skiprows=1)
     assert np.all(np.isfinite(body))
+
+
+@pytest.mark.parametrize("method", ["SK", "TG_OK", "TG_SK"])
+def test_reconstruct_other_kriging_variants(work, tmp_path, method):
+    out = tmp_path / f"grid_{method}.csv"
+    code = main(["reconstruct", "--measurements", str(work / "train.csv"),
+                 "--config", str(work / "config.json"), "--out", str(out),
+                 "--method", method, "--spacing", "60"])
+    assert code == 0
+    body = np.loadtxt(out, delimiter=",", skiprows=1)
+    assert len(body) > 4
+    assert np.all(np.isfinite(body))
+
+
+def test_reconstruct_tg_krigs_with_the_shared_score_model(work, tmp_path):
+    out = tmp_path / "grid_tg.csv"
+    assert main(["reconstruct", "--measurements", str(work / "train.csv"),
+                 "--config", str(work / "config.json"), "--out", str(out),
+                 "--method", "TG_OK", "--spacing", "60"]) == 0
+    samples = SampleSet.from_samples(
+        extract_sf(ingest_measurements(work / "train.csv"), PROP, GS))
+    fit = fit_residual_model(samples, "TG_OK")
+    # a score-domain fit, not the raw shape rescaled to unit variance
+    assert fit.corr_u != transformed_model(fit.corr, 1.0)
+    kcfg = KrigingConfig(radius_m=200.0, variant="TG_OK", mean_z=fit.mean_z)
+    body = np.loadtxt(out, delimiter=",", skiprows=1)
+    for la, lo, al, power in body[::7]:
+        node = rs.GeoPoint(la, lo, al)
+        pred = kriging.predict(samples, fit.corr, node, kcfg,
+                               transform=fit.transform, model_u=fit.corr_u)
+        geom = link_geometry(GS, node, PROP.wavelength_m)
+        assert power == pytest.approx(
+            trpl_received_power_db(PROP, geom) + pred.z_hat, abs=1e-9)
+
+
+def test_reconstruct_tg_on_few_rows_falls_back_to_plain(work, tmp_path):
+    few = tmp_path / "few.csv"
+    write_measurements_csv(few, ingest_measurements(work / "train.csv")[::21])
+
+    def grid(method):
+        out = tmp_path / f"grid_{method}.csv"
+        assert main(["reconstruct", "--measurements", str(few),
+                     "--config", str(work / "config.json"), "--out", str(out),
+                     "--method", method, "--spacing", "60"]) == 0
+        return out.read_text()
+
+    with pytest.warns(UserWarning, match="plain kriging variant"):
+        tg = grid("TG_OK")
+    assert tg == grid("OK")
 
 
 def test_eval_report_and_flag_override(work, tmp_path, capsys):
