@@ -11,7 +11,7 @@ import numpy as np
 import remsense as rs
 from remsense.evaluation import fit_residual_model
 from remsense.kriging import KrigingConfig, predict
-from remsense.shadowing import SampleSet, extract_sf
+from remsense.shadowing import extract_sf
 
 GS = rs.GeoPoint(35.72, -78.70, 10.0)
 PROP = rs.PropagationConfig(carrier_hz=3.32e9, tx_power_dbm=23.0)
@@ -25,14 +25,14 @@ measurements, _truth = rs.generate_campaign(scene, traj)
 print(f"campaign: {len(measurements)} measurements at 60 m altitude")
 
 sf = extract_sf(measurements, PROP, GS)
-values = SampleSet.from_samples(sf).z
+values = sf.z
 print(f"shadowing residuals: mean {values.mean():+.3f} dB, "
       f"sd {values.std(ddof=1):.3f} dB (generator sigma_z = 3)")
 
 # hold out every 7th sample; fit on the rest (the same fit `remsense eval`
 # and `remsense reconstruct` use) and predict the held-out ones from it
 held = sf[::7]
-rest = SampleSet.from_samples([s for i, s in enumerate(sf) if i % 7])
+rest = sf[np.arange(len(sf)) % 7 != 0]
 fit = fit_residual_model(rest, "TG_OK")
 fitted, scores = fit.corr, fit.corr_u
 print(f"refit blind from {len(rest)} of the samples:")

@@ -13,7 +13,7 @@ import remsense as rs
 from remsense.completion import McAssistedGpr, McConfig
 from remsense.geo import horizontal_distance
 from remsense.gpr import gpr_fit, gpr_predict_batch
-from remsense.shadowing import SampleSet, extract_sf
+from remsense.shadowing import extract_sf
 
 GS = rs.GeoPoint(35.72, -78.70, 10.0)
 PROP = rs.PropagationConfig(carrier_hz=3.32e9, tx_power_dbm=23.0)
@@ -46,12 +46,7 @@ sampled = rng.choice(len(sf), 100, replace=False)
 mask = np.zeros(len(sf), bool)
 mask[sampled] = True
 
-lat = np.array([s.location.lat_deg for s in sf])
-lon = np.array([s.location.lon_deg for s in sf])
-alt = np.array([s.location.alt_m for s in sf])
-z = np.array([s.z for s in sf])
-
-train = SampleSet(lat[sampled], lon[sampled], alt[sampled], z[sampled])
+train = sf[sampled]
 model = gpr_fit(train, FIELD, sigma_y=2.0, sigma_gp=1.5)
 pipe = McAssistedGpr(model, McConfig())
 
@@ -69,11 +64,11 @@ near = np.array([
         for b in blobs)
     for s in sf
 ])
-targets = np.nonzero(~mask & near)[0]
-z_gpr, _ = gpr_predict_batch(model, lat[targets], lon[targets], alt[targets])
-z_mc = pipe.predict(lat[targets], lon[targets])
-rmse_gpr = float(np.sqrt(np.mean((z_gpr - z[targets]) ** 2)))
-rmse_mc = float(np.sqrt(np.mean((z_mc - z[targets]) ** 2)))
-print(f"blob-neighborhood RMSE over {len(targets)} held-out points:")
+held = sf[~mask & near]
+z_gpr, _ = gpr_predict_batch(model, held.lat, held.lon, held.alt)
+z_mc = pipe.predict(held.lat, held.lon)
+rmse_gpr = float(np.sqrt(np.mean((z_gpr - held.z) ** 2)))
+rmse_mc = float(np.sqrt(np.mean((z_mc - held.z) ** 2)))
+print(f"blob-neighborhood RMSE over {len(held)} held-out points:")
 print(f"  plain GPR        {rmse_gpr:.3f} dB")
 print(f"  completion-aided {rmse_mc:.3f} dB")

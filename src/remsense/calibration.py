@@ -14,10 +14,11 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import NoSupportedBins, ParseError, RangeError
+from .errors import NoSupportedBins, ParseError, RangeError, _read_csv_rows
 from .geo import GeoPoint, link_geometry_batch
 from .patterns import AntennaPattern, gain_linear
 from .propagation import PropagationConfig
+from .shadowing import _measurement_columns
 
 DELTA_CSV_HEADER = ["az_deg", "el_deg", "gain_dbi", "support"]
 
@@ -52,10 +53,7 @@ def estimate_a_uav(measurements, cfg: PropagationConfig, gs: GeoPoint,
     direction at the station and the 3D range, everything the pattern
     estimate needs.  Degenerate links are skipped, not fatal.
     """
-    lat = np.array([m.location.lat_deg for m in measurements])
-    lon = np.array([m.location.lon_deg for m in measurements])
-    alt = np.array([m.location.alt_m for m in measurements])
-    rsrp = np.array([m.rsrp_dbm for m in measurements])
+    lat, lon, alt, rsrp, _ = _measurement_columns(measurements)
     geom, valid = link_geometry_batch(gs, lat, lon, alt, cfg.wavelength_m)
     amp = 10.0 ** ((rsrp - cfg.tx_power_dbm) / 20.0)
     return AmplitudeRatios(
@@ -240,24 +238,8 @@ def read_delta_csv(path, min_support: int = 1) -> CalibratedDelta:
     the permissive default threshold reproduces the original lookup
     behavior no matter what threshold produced the file.
     """
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != DELTA_CSV_HEADER:
-            raise ParseError(
-                f"expected header {','.join(DELTA_CSV_HEADER)}", line=1
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise ParseError("expected 4 columns", line=lineno)
-            try:
-                rows.append((float(row[0]), float(row[1]), float(row[2]),
-                             int(float(row[3]))))
-            except ValueError as exc:
-                raise ParseError(str(exc), line=lineno) from None
+    parse = (float, float, float, lambda v: int(float(v)))
+    rows = [r for _, r in _read_csv_rows(path, DELTA_CSV_HEADER, parse)]
     if not rows:
         raise ParseError("delta file has no data rows")
     arr = np.array(rows)

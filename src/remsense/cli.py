@@ -24,16 +24,16 @@ from .calibration import (
 from .completion import McAssistedGpr, McConfig, build_grid
 from .errors import RemSenseError
 from .evaluation import (
+    METHODS,
     EvalConfig,
     fit_residual_model,
     ingest_measurements,
     monte_carlo_eval,
     sweep,
 )
-from .geo import GeoPoint, link_geometry_batch
+from .geo import GeoPoint
 from .gpr import gpr_fit, gpr_predict_batch
 from .kriging import KrigingConfig, predict as kriging_predict
-from .propagation import trpl_received_power_db
 from .scenes import (
     _corr_from_dict,
     _corr_to_dict,
@@ -44,7 +44,7 @@ from .scenes import (
     write_measurements_csv,
 )
 from .shadowing import (
-    SampleSet,
+    _predicted_power,
     empirical_correlation,
     extract_sf,
     fit_correlation_model,
@@ -157,6 +157,8 @@ def _cmd_reconstruct(args):
     doc = _load_config(args.config)
     gs, prop = _station_and_prop(doc)
     method = args.method or doc.get("method", "OK")
+    if method not in METHODS:
+        raise _ConfigProblem(f"method must be one of {METHODS}")
     radius_m = args.radius if args.radius is not None else doc.get(
         "radius_m", 200.0)
     delta = None
@@ -164,21 +166,14 @@ def _cmd_reconstruct(args):
         delta = read_delta_csv(args.delta_csv)
     measurements = ingest_measurements(args.measurements)
     print(f"read {len(measurements)} measurements")
-    samples = SampleSet.from_samples(
-        extract_sf(measurements, prop, gs, delta_gain=delta))
+    samples = extract_sf(measurements, prop, gs, delta_gain=delta)
     spec = build_grid(samples, args.spacing)
     if args.alt is not None:
         spec = dataclasses.replace(spec, alt_m=args.alt)
 
-    lat_g, lon_g = spec.node_latlon()
-    lat_q = lat_g.ravel()
-    lon_q = lon_g.ravel()
+    lat_q, lon_q = (g.ravel() for g in spec.node_latlon())
     alt_q = np.full(lat_q.shape, spec.alt_m)
-    geom, valid = link_geometry_batch(gs, lat_q, lon_q, alt_q,
-                                      prop.wavelength_m)
-    rhat = np.where(valid, trpl_received_power_db(prop, geom), np.nan)
-    if delta is not None:
-        rhat = rhat + delta.delta_at(geom.phi_r, geom.theta_r)
+    _, rhat = _predicted_power(prop, gs, lat_q, lon_q, alt_q, delta)
 
     z_hat = np.zeros(lat_q.size)
     if method != "TRPL_only":

@@ -5,6 +5,8 @@ package's failures with a single except clause.  Errors that indicate bad
 input data additionally derive from ``ValueError``.
 """
 
+import csv
+
 
 class RemSenseError(Exception):
     """Base class for all errors raised by this package."""
@@ -76,3 +78,30 @@ class ParseError(RemSenseError, ValueError):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
+
+
+def _read_csv_rows(path, header, parse):
+    """Yield ``(line number, fields)`` per data row of a CSV file.
+
+    Line 1 must be ``header``; blank rows are skipped.  Each other row
+    needs one field per header column, converted by the matching entry
+    of ``parse``.  Anything else raises :class:`ParseError` at its line.
+    """
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        first = next(reader, None)
+        if first is None or [h.strip() for h in first] != header:
+            raise ParseError(f"expected header {','.join(header)}", line=1)
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise ParseError(
+                    f"expected {len(header)} columns, got {len(row)}",
+                    line=lineno,
+                )
+            try:
+                fields = [f(v) for f, v in zip(parse, row)]
+            except ValueError as exc:
+                raise ParseError(str(exc), line=lineno) from None
+            yield lineno, fields

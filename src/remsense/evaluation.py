@@ -24,8 +24,14 @@ import numpy as np
 
 from .calibration import delta_gain, estimate_a_uav, estimate_effective_pattern
 from .completion import McAssistedGpr, McConfig
-from .errors import FitDiverged, InsufficientData, ParseError, RangeError
-from .geo import GeoPoint, _arc_distance, link_geometry_batch
+from .errors import (
+    FitDiverged,
+    InsufficientData,
+    ParseError,
+    RangeError,
+    _read_csv_rows,
+)
+from .geo import GeoPoint, _arc_distance
 from .gpr import estimate_hyperparameters, gpr_fit, gpr_predict_batch
 from .kriging import (
     NormalScoreTransform,
@@ -33,12 +39,14 @@ from .kriging import (
     solve_ordinary,
     solve_simple,
 )
-from .propagation import PropagationConfig, trpl_received_power_db
+from .propagation import PropagationConfig
 from .scenes import MEASUREMENT_CSV_HEADER
 from .shadowing import (
     CorrelationModel,
     Measurement,
     SampleSet,
+    _measurement_columns,
+    _predicted_power,
     empirical_correlation,
     extract_sf,
     fit_correlation_model,
@@ -148,32 +156,15 @@ def ingest_measurements(path):
         RangeError: latitude/longitude outside valid ranges.
     """
     out = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != MEASUREMENT_CSV_HEADER:
-            raise ParseError(
-                f"expected header {','.join(MEASUREMENT_CSV_HEADER)}", line=1
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 5:
-                raise ParseError(
-                    f"expected 5 columns, got {len(row)}", line=lineno
-                )
-            try:
-                seq = int(row[0])
-                lat, lon, alt, rsrp = (float(v) for v in row[1:])
-            except ValueError as exc:
-                raise ParseError(str(exc), line=lineno) from None
-            if not np.isfinite(rsrp):
-                raise ParseError("rsrp_dbm is not finite", line=lineno)
-            try:
-                loc = GeoPoint(lat, lon, alt)
-            except RangeError as exc:
-                raise RangeError(f"line {lineno}: {exc}") from None
-            out.append(Measurement(loc, rsrp, seq=seq))
+    for lineno, (seq, lat, lon, alt, rsrp) in _read_csv_rows(
+            path, MEASUREMENT_CSV_HEADER, (int, float, float, float, float)):
+        if not np.isfinite(rsrp):
+            raise ParseError("rsrp_dbm is not finite", line=lineno)
+        try:
+            loc = GeoPoint(lat, lon, alt)
+        except RangeError as exc:
+            raise RangeError(f"line {lineno}: {exc}") from None
+        out.append(Measurement(loc, rsrp, seq=seq))
     return out
 
 
@@ -185,20 +176,23 @@ def _load_campaign(campaign):
     else:
         ms = list(campaign)
     # canonical order: permuting file rows must not change anything
-    ms.sort(key=lambda m: (m.seq, m.location.lat_deg, m.location.lon_deg,
-                           m.location.alt_m))
-    return ms
+    lat, lon, alt, _, seq = _measurement_columns(ms)
+    return [ms[i] for i in np.lexsort((alt, lon, lat, seq))]
 
 
-def _campaigns_identical(a, b):
-    if a is None or b is None:
-        return False
-    if len(a) != len(b):
-        return False
-    return all(
-        x.location == y.location and x.rsrp_dbm == y.rsrp_dbm
-        for x, y in zip(a, b)
-    )
+def _check_disjoint(train, test):
+    """Reject test rows whose location and value equal a train row."""
+    if train is None:
+        return
+    seen = set(zip(*_measurement_columns(train)[:4]))
+    lat, lon, alt, rsrp, seq = _measurement_columns(test)
+    shared = [s for s, *row in zip(seq, lat, lon, alt, rsrp)
+              if tuple(row) in seen]
+    if shared:
+        raise ValueError(
+            f"{len(shared)} test rows equal a train row (first: test "
+            f"seq={shared[0]}); the protocol requires separate campaigns"
+        )
 
 
 @dataclass(frozen=True)
@@ -305,9 +299,7 @@ def _fit_from_train(cfg: EvalConfig, train):
 
     samples = None
     if train is not None:
-        samples = SampleSet.from_samples(
-            extract_sf(train, cfg.prop, cfg.gs, delta_gain=delta)
-        )
+        samples = extract_sf(train, cfg.prop, cfg.gs, delta_gain=delta)
     return delta, fit_residual_model(
         samples, cfg.method, corr=cfg.corr_model, mean_z=cfg.mean_z,
         sigma_split=cfg.sigma_split, dh_edges=cfg.dh_edges,
@@ -327,19 +319,8 @@ class _TestData:
 
 
 def _prepare_test(cfg: EvalConfig, test, delta, values_override=None):
-    lat = np.array([m.location.lat_deg for m in test])
-    lon = np.array([m.location.lon_deg for m in test])
-    alt = np.array([m.location.alt_m for m in test])
-    geom, valid = link_geometry_batch(cfg.gs, lat, lon, alt,
-                                      cfg.prop.wavelength_m)
-    if not np.all(valid):
-        bad = int(np.nonzero(~valid)[0][0])
-        raise ValueError(
-            f"test measurement seq={test[bad].seq} coincides with the station"
-        )
-    rhat = trpl_received_power_db(cfg.prop, geom)
-    if delta is not None:
-        rhat = rhat + delta.delta_at(geom.phi_r, geom.theta_r)
+    lat, lon, alt, rsrp, seq = _measurement_columns(test)
+    geom, rhat = _predicted_power(cfg.prop, cfg.gs, lat, lon, alt, delta, seq)
     elev = np.asarray(geom.theta_t)
     elev_bin = np.clip(
         np.floor(elev / ELEVATION_BIN_DEG).astype(int), 0,
@@ -347,7 +328,7 @@ def _prepare_test(cfg: EvalConfig, test, delta, values_override=None):
     )
     values = values_override
     if values is None:
-        values = CampaignValues([m.rsrp_dbm for m in test])
+        values = CampaignValues(rsrp)
     return _TestData(lat, lon, alt, rhat, elev_bin, values, len(test))
 
 
@@ -465,8 +446,9 @@ def monte_carlo_eval(cfg: EvalConfig, test_values: CampaignValues = None
             campaign file.
 
     Raises:
-        ValueError: invalid configuration, including equal train and
-            test campaigns or m_samples >= test campaign size.
+        ValueError: invalid configuration, including a test row equal to
+            a train row or m_samples >= test campaign size.
+        DegenerateLink: a test row coincides with the station.
     """
     train = _load_campaign(cfg.train_campaign)
     test = _load_campaign(cfg.test_campaign)
@@ -476,11 +458,7 @@ def monte_carlo_eval(cfg: EvalConfig, test_values: CampaignValues = None
         raise ValueError(
             f"m_samples={cfg.m_samples} must be < test campaign size {len(test)}"
         )
-    if _campaigns_identical(train, test):
-        raise ValueError(
-            "train and test campaigns are identical; the protocol requires "
-            "separate campaigns"
-        )
+    _check_disjoint(train, test)
     delta, fit = _fit_from_train(cfg, train)
     data = _prepare_test(cfg, test, delta, values_override=test_values)
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParseError, RangeError
+from .errors import ParseError, RangeError, _read_csv_rows
 
 PATTERN_CSV_HEADER = ["az_deg", "el_deg", "gain_dbi"]
 
@@ -209,23 +209,8 @@ def read_pattern_csv(path) -> AntennaPattern:
     Rows must enumerate a complete rectangular grid; duplicates and
     gaps are rejected.
     """
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != PATTERN_CSV_HEADER:
-            raise ParseError(
-                f"expected header {','.join(PATTERN_CSV_HEADER)}", line=1
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise ParseError("expected 3 columns", line=lineno)
-            try:
-                rows.append((float(row[0]), float(row[1]), float(row[2])))
-            except ValueError as exc:
-                raise ParseError(str(exc), line=lineno) from None
+    rows = [r for _, r in _read_csv_rows(path, PATTERN_CSV_HEADER,
+                                         (float, float, float))]
     if not rows:
         raise ParseError("pattern file has no data rows")
     arr = np.array(rows)

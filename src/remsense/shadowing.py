@@ -55,10 +55,13 @@ class SfSample:
 
 
 class SampleSet:
-    """Column view of a list of samples, for vectorized math.
+    """Shadow-fading residuals as columns, for vectorized math.
 
-    Predictors accept either a list of :class:`SfSample` or one of
-    these; building the set once amortizes the attribute walks.
+    Holds ``lat``, ``lon``, ``alt``, ``z`` and ``seq`` arrays of equal
+    length.  Predictors accept either a list of :class:`SfSample` or
+    one of these.  Iterating yields :class:`SfSample` rows; indexing
+    with an integer gives one row, and with a slice, an index array or
+    a boolean mask, a new set.
     """
 
     __slots__ = ("lat", "lon", "alt", "z", "seq")
@@ -86,6 +89,19 @@ class SampleSet:
 
     def __len__(self):
         return len(self.z)
+
+    def __getitem__(self, index):
+        if isinstance(index, (int, np.integer)):
+            return SfSample(
+                GeoPoint(float(self.lat[index]), float(self.lon[index]),
+                         float(self.alt[index])),
+                float(self.z[index]), int(self.seq[index]),
+            )
+        return SampleSet(self.lat[index], self.lon[index], self.alt[index],
+                         self.z[index], self.seq[index])
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
 
 
 @dataclass(frozen=True)
@@ -150,8 +166,39 @@ def semivariogram(model: CorrelationModel, a: GeoPoint, b: GeoPoint) -> float:
     return float(model.semivariogram_at(*_pair_lags(a, b)))
 
 
+def _measurement_columns(measurements):
+    """``(lat, lon, alt, rsrp, seq)`` arrays of a :class:`Measurement` list."""
+    return (
+        np.array([m.location.lat_deg for m in measurements], dtype=float),
+        np.array([m.location.lon_deg for m in measurements], dtype=float),
+        np.array([m.location.alt_m for m in measurements], dtype=float),
+        np.array([m.rsrp_dbm for m in measurements], dtype=float),
+        np.array([m.seq for m in measurements], dtype=int),
+    )
+
+
+def _predicted_power(cfg: PropagationConfig, gs: GeoPoint, lat, lon, alt,
+                     delta_gain=None, seq=None):
+    """Link geometry and deterministic received power at each row.
+
+    The power is the two-ray prediction in dBm, plus ``delta_gain``'s
+    receive-gain correction when given, and NaN where a row coincides
+    with the station.  Given the rows' ``seq``, such a row raises
+    :class:`DegenerateLink` instead.
+    """
+    geom, valid = link_geometry_batch(gs, lat, lon, alt, cfg.wavelength_m)
+    if seq is not None and not np.all(valid):
+        bad = int(np.nonzero(~valid)[0][0])
+        raise DegenerateLink(
+            f"measurement seq={seq[bad]} coincides with the station"
+        )
+    power = (trpl_received_power_db(cfg, geom) if delta_gain is None
+             else calibrated_received_power_db(cfg, geom, delta_gain))
+    return geom, np.where(valid, power, np.nan)
+
+
 def extract_sf(measurements, cfg: PropagationConfig, gs: GeoPoint,
-               delta_gain=None):
+               delta_gain=None) -> SampleSet:
     """Shadow-fading residuals: measured power minus the two-ray mean.
 
     Args:
@@ -161,32 +208,15 @@ def extract_sf(measurements, cfg: PropagationConfig, gs: GeoPoint,
         delta_gain: optional calibrated receive-gain correction.
 
     Returns:
-        list of :class:`SfSample` in input order.
+        :class:`SampleSet` of residual columns in input order; it
+        iterates as :class:`SfSample` rows.
 
     Raises:
         DegenerateLink: if a measurement coincides with the station.
     """
-    if not measurements:
-        return []
-    lat = np.array([m.location.lat_deg for m in measurements])
-    lon = np.array([m.location.lon_deg for m in measurements])
-    alt = np.array([m.location.alt_m for m in measurements])
-    rsrp = np.array([m.rsrp_dbm for m in measurements])
-    geom, valid = link_geometry_batch(gs, lat, lon, alt, cfg.wavelength_m)
-    if not np.all(valid):
-        bad = int(np.nonzero(~valid)[0][0])
-        raise DegenerateLink(
-            f"measurement seq={measurements[bad].seq} coincides with the station"
-        )
-    if delta_gain is None:
-        rhat = trpl_received_power_db(cfg, geom)
-    else:
-        rhat = calibrated_received_power_db(cfg, geom, delta_gain)
-    z = rsrp - rhat
-    return [
-        SfSample(m.location, float(zi), m.seq)
-        for m, zi in zip(measurements, z)
-    ]
+    lat, lon, alt, rsrp, seq = _measurement_columns(measurements)
+    _, rhat = _predicted_power(cfg, gs, lat, lon, alt, delta_gain, seq)
+    return SampleSet(lat, lon, alt, rsrp - rhat, seq)
 
 
 def estimate_sigma(sf) -> float:

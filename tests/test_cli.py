@@ -287,3 +287,24 @@ def test_sweep_axis_and_csv(work, tmp_path, capsys):
     assert main(["sweep", "--config", str(work / "eval_config.json"),
                  "--test", str(work / "test.csv"), "--axis", "bogus",
                  "--values", "1"]) == 2
+
+
+def test_reconstruct_unknown_method_exits_before_reading(work, tmp_path,
+                                                         capsys):
+    out = tmp_path / "grid.csv"
+    assert main(["reconstruct", "--measurements", str(tmp_path / "none.csv"),
+                 "--config", str(work / "config.json"), "--out", str(out),
+                 "--method", "IDW"]) == 2
+    assert "method must be one of" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_eval_test_row_on_station_exits_3(work, tmp_path, capsys):
+    rows = ingest_measurements(work / "test.csv")
+    rows.append(rs.Measurement(GS, -40.0, seq=10**6))
+    path = tmp_path / "station.csv"
+    write_measurements_csv(path, rows)
+    assert main(["eval", "--config", str(work / "eval_config.json"),
+                 "--test", str(path), "--method", "TRPL_only",
+                 "--iterations", "1"]) == 3
+    assert "coincides with the station" in capsys.readouterr().err

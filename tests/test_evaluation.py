@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -117,15 +119,18 @@ def test_worker_count_does_not_change_results(gaussian_campaigns):
 
 def test_row_order_in_csv_does_not_matter(tmp_path, gaussian_campaigns):
     train, test, _ = gaussian_campaigns
-    p0 = tmp_path / "ordered.csv"
-    p1 = tmp_path / "shuffled.csv"
-    write_measurements_csv(p0, test)
-    shuffled = list(test)
-    np.random.default_rng(3).shuffle(shuffled)
-    write_measurements_csv(p1, shuffled)
-    r0 = monte_carlo_eval(base_cfg(str(p0), train, iterations=4))
-    r1 = monte_carlo_eval(base_cfg(str(p1), train, iterations=4))
-    assert r0.rmse_db == r1.rmse_db
+    # with every seq repeated four times, ties are ordered by location
+    repeated = [dataclasses.replace(m, seq=m.seq // 4) for m in test]
+    for k, rows in enumerate((test, repeated)):
+        p0 = tmp_path / f"ordered{k}.csv"
+        p1 = tmp_path / f"shuffled{k}.csv"
+        write_measurements_csv(p0, rows)
+        shuffled = list(rows)
+        np.random.default_rng(3).shuffle(shuffled)
+        write_measurements_csv(p1, shuffled)
+        r0 = monte_carlo_eval(base_cfg(str(p0), train, iterations=4))
+        r1 = monte_carlo_eval(base_cfg(str(p1), train, iterations=4))
+        assert r0.rmse_db == r1.rmse_db
 
 
 class _AuditValues(CampaignValues):
@@ -200,6 +205,22 @@ def test_validation_errors(gaussian_campaigns):
                 dict(workers=0)):
         with pytest.raises(ValueError):
             base_cfg(test, **bad)
+
+
+def test_train_rows_in_test_campaign_rejected(gaussian_campaigns):
+    train, test, _ = gaussian_campaigns
+    leaked = list(train) + list(test[40:50])
+    first = min(m.seq for m in test[40:50])
+    with pytest.raises(ValueError, match=rf"^10 test rows .*seq={first}\)"):
+        monte_carlo_eval(base_cfg(test, leaked, iterations=1))
+
+
+def test_test_row_on_station_raises_degenerate_link(gaussian_campaigns):
+    train, test, _ = gaussian_campaigns
+    on_station = list(test) + [rs.Measurement(GS, -40.0, seq=10**6)]
+    with pytest.raises(rs.DegenerateLink, match="seq=1000000"):
+        monte_carlo_eval(base_cfg(on_station, train, method="TRPL_only",
+                                  iterations=1))
 
 
 def test_report_serializes(gaussian_campaigns):

@@ -3,6 +3,8 @@ import pytest
 
 import remsense as rs
 from remsense.geo import link_geometry, _arc_distance
+from remsense.gpr import gpr_fit
+from remsense.kriging import KrigingConfig, ok_predict
 from remsense.shadowing import (
     CorrelationTable,
     SampleSet,
@@ -52,9 +54,12 @@ def test_extract_model_consistent_data_gives_zero_residuals():
     pts = grid_points(4, 3, 90.0, 80.0, 60.0)
     meas = make_measurements(pts, PROP, GS)
     sf = extract_sf(meas, PROP, GS)
+    assert isinstance(sf, SampleSet)
     assert len(sf) == len(meas)
     assert max(abs(s.z) for s in sf) <= 1e-12
     assert [s.seq for s in sf] == list(range(len(meas)))
+    assert [s.location for s in sf] == [m.location for m in meas]
+    assert len(extract_sf([], PROP, GS)) == 0
 
 
 def test_extract_constant_offset_recovered():
@@ -374,3 +379,20 @@ def test_sample_set_round_trip():
     assert SampleSet.from_samples(s) is s
     np.testing.assert_array_equal(s.z, [1, 2, 3, 4, 5, 6])
     np.testing.assert_array_equal(s.seq, np.arange(6))
+    assert list(s) == sf
+    assert s[2] == sf[2]
+    for index in (slice(1, 5, 2), np.array([4, 0, 3]), s.z > 2.5):
+        sub = SampleSet.from_samples(list(s[index]))
+        for name in ("lat", "lon", "alt", "z", "seq"):
+            np.testing.assert_array_equal(getattr(sub, name),
+                                          getattr(s, name)[index])
+
+
+def test_predictors_reject_measurement_rows():
+    pts = grid_points(4, 3, 90.0, 80.0, 60.0)
+    meas = make_measurements(pts, PROP, GS)
+    target = offset_point(GS, 100.0, 100.0, 60.0)
+    with pytest.raises(AttributeError):
+        ok_predict(meas, CORR, target, KrigingConfig(radius_m=500.0))
+    with pytest.raises(AttributeError):
+        gpr_fit(meas, CORR, 2.0, 1.0)
