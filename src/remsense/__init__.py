@@ -119,6 +119,7 @@ from .scenes import (
     zigzag_trajectory,
 )
 from .shadowing import (
+    Campaign,
     CorrelationModel,
     CorrelationTable,
     Measurement,
@@ -138,7 +139,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AmplitudeRatios", "AntennaPattern", "BinnedPattern", "Blob",
-    "CalibratedDelta", "CampaignValues", "CorrelationModel",
+    "CalibratedDelta", "Campaign", "CampaignValues", "CorrelationModel",
     "CorrelationTable", "DegenerateExtent", "DegenerateLink",
     "DuplicateLocations", "EARTH_RADIUS_M", "EvalConfig",
     "EvaluationReport", "FitDiverged", "GeoPoint", "GprModel", "GridSpec",

@@ -18,7 +18,7 @@ from .errors import NoSupportedBins, ParseError, RangeError, _read_csv_rows
 from .geo import GeoPoint, link_geometry_batch
 from .patterns import AntennaPattern, gain_linear
 from .propagation import PropagationConfig
-from .shadowing import _measurement_columns
+from .shadowing import Campaign
 
 DELTA_CSV_HEADER = ["az_deg", "el_deg", "gain_dbi", "support"]
 
@@ -53,9 +53,9 @@ def estimate_a_uav(measurements, cfg: PropagationConfig, gs: GeoPoint,
     direction at the station and the 3D range, everything the pattern
     estimate needs.  Degenerate links are skipped, not fatal.
     """
-    lat, lon, alt, rsrp, _ = _measurement_columns(measurements)
-    geom, valid = link_geometry_batch(gs, lat, lon, alt, cfg.wavelength_m)
-    amp = 10.0 ** ((rsrp - cfg.tx_power_dbm) / 20.0)
+    c = Campaign.of(measurements)
+    geom, valid = link_geometry_batch(gs, c.lat, c.lon, c.alt, cfg.wavelength_m)
+    amp = 10.0 ** ((c.rsrp - cfg.tx_power_dbm) / 20.0)
     return AmplitudeRatios(
         az=np.asarray(geom.phi_r)[valid],
         el=np.asarray(geom.theta_r)[valid],

@@ -28,10 +28,9 @@ from .errors import (
     FitDiverged,
     InsufficientData,
     ParseError,
-    RangeError,
     _read_csv_rows,
 )
-from .geo import GeoPoint, _arc_distance
+from .geo import GeoPoint, _arc_distance, _check_location
 from .gpr import estimate_hyperparameters, gpr_fit, gpr_predict_batch
 from .kriging import (
     NormalScoreTransform,
@@ -42,10 +41,9 @@ from .kriging import (
 from .propagation import PropagationConfig
 from .scenes import MEASUREMENT_CSV_HEADER
 from .shadowing import (
+    Campaign,
     CorrelationModel,
-    Measurement,
     SampleSet,
-    _measurement_columns,
     _predicted_power,
     empirical_correlation,
     extract_sf,
@@ -148,46 +146,45 @@ class CampaignValues:
         return self._values[np.asarray(indices)]
 
 
-def ingest_measurements(path):
+def ingest_measurements(path) -> Campaign:
     """Parse a measurement CSV (`seq,lat_deg,lon_deg,alt_m,rsrp_dbm`).
 
     Raises:
         ParseError: malformed header or row, with the line number.
         RangeError: latitude/longitude outside valid ranges.
     """
-    out = []
-    for lineno, (seq, lat, lon, alt, rsrp) in _read_csv_rows(
+    rows = []
+    for lineno, row in _read_csv_rows(
             path, MEASUREMENT_CSV_HEADER, (int, float, float, float, float)):
+        _, lat, lon, alt, rsrp = row
         if not np.isfinite(rsrp):
             raise ParseError("rsrp_dbm is not finite", line=lineno)
-        try:
-            loc = GeoPoint(lat, lon, alt)
-        except RangeError as exc:
-            raise RangeError(f"line {lineno}: {exc}") from None
-        out.append(Measurement(loc, rsrp, seq=seq))
-    return out
+        _check_location(lat, lon, alt, where=f"line {lineno}: ")
+        rows.append(row)
+    seq, lat, lon, alt, rsrp = list(zip(*rows)) or [()] * 5
+    return Campaign(lat, lon, alt, rsrp, seq)
 
 
 def _load_campaign(campaign):
     if campaign is None:
         return None
-    if isinstance(campaign, (str, os.PathLike)):
-        ms = ingest_measurements(campaign)
-    else:
-        ms = list(campaign)
+    c = (ingest_measurements(campaign)
+         if isinstance(campaign, (str, os.PathLike)) else Campaign.of(campaign))
     # canonical order: permuting file rows must not change anything
-    lat, lon, alt, _, seq = _measurement_columns(ms)
-    return [ms[i] for i in np.lexsort((alt, lon, lat, seq))]
+    return c[np.lexsort((c.alt, c.lon, c.lat, c.seq))]
 
 
 def _check_disjoint(train, test):
     """Reject test rows whose location and value equal a train row."""
     if train is None:
         return
-    seen = set(zip(*_measurement_columns(train)[:4]))
-    lat, lon, alt, rsrp, seq = _measurement_columns(test)
-    shared = [s for s, *row in zip(seq, lat, lon, alt, rsrp)
-              if tuple(row) in seen]
+
+    def rows(c):
+        return zip(*(col.tolist() for col in (c.lat, c.lon, c.alt, c.rsrp)))
+
+    seen = set(rows(train))
+    shared = [s for s, row in zip(test.seq.tolist(), rows(test))
+              if row in seen]
     if shared:
         raise ValueError(
             f"{len(shared)} test rows equal a train row (first: test "
@@ -319,17 +316,17 @@ class _TestData:
 
 
 def _prepare_test(cfg: EvalConfig, test, delta, values_override=None):
-    lat, lon, alt, rsrp, seq = _measurement_columns(test)
-    geom, rhat = _predicted_power(cfg.prop, cfg.gs, lat, lon, alt, delta, seq)
+    geom, rhat = _predicted_power(cfg.prop, cfg.gs, test.lat, test.lon,
+                                  test.alt, delta, test.seq)
     elev = np.asarray(geom.theta_t)
     elev_bin = np.clip(
         np.floor(elev / ELEVATION_BIN_DEG).astype(int), 0,
         ELEVATION_BIN_COUNT - 1,
     )
-    values = values_override
-    if values is None:
-        values = CampaignValues(rsrp)
-    return _TestData(lat, lon, alt, rhat, elev_bin, values, len(test))
+    values = (CampaignValues(test.rsrp) if values_override is None
+              else values_override)
+    return _TestData(test.lat, test.lon, test.alt, rhat, elev_bin, values,
+                     len(test))
 
 
 def _residuals_kriging(cfg, fit, data, s_idx, z_m, t_idx, counters):

@@ -46,12 +46,23 @@ class GeoPoint:
     alt_m: float
 
     def __post_init__(self):
-        if not (-90.0 <= self.lat_deg <= 90.0):
-            raise RangeError(f"latitude {self.lat_deg} outside [-90, 90]")
-        if not (-180.0 <= self.lon_deg <= 180.0):
-            raise RangeError(f"longitude {self.lon_deg} outside [-180, 180]")
-        if not np.isfinite(self.alt_m):
-            raise RangeError(f"altitude {self.alt_m} is not finite")
+        _check_location(self.lat_deg, self.lon_deg, self.alt_m)
+
+
+def _point_columns(points):
+    """``(lat, lon, alt)`` arrays of a sequence of :class:`GeoPoint`."""
+    return tuple(np.array([getattr(p, name) for p in points], dtype=float)
+                 for name in ("lat_deg", "lon_deg", "alt_m"))
+
+
+def _check_location(lat, lon, alt, where=""):
+    """Raise :class:`RangeError`, prefixed by ``where``, on a bad location."""
+    if not (-90.0 <= lat <= 90.0):
+        raise RangeError(f"{where}latitude {lat} outside [-90, 90]")
+    if not (-180.0 <= lon <= 180.0):
+        raise RangeError(f"{where}longitude {lon} outside [-180, 180]")
+    if not np.isfinite(alt):
+        raise RangeError(f"{where}altitude {alt} is not finite")
 
 
 @dataclass(frozen=True)

@@ -16,10 +16,11 @@ import numpy as np
 
 from .calibration import CalibratedDelta
 from .errors import ParseError, RangeError, TooManyPoints
-from .geo import GeoPoint, _arc_distance, from_local_xy, link_geometry_batch
+from .geo import (GeoPoint, _arc_distance, _point_columns, from_local_xy,
+                  link_geometry_batch, to_local_xy)
 from .patterns import OffsetPattern, pattern_from_dict, pattern_to_dict
 from .propagation import PropagationConfig, trpl_received_power_db
-from .shadowing import CorrelationModel, Measurement
+from .shadowing import Campaign, CorrelationModel
 
 MEASUREMENT_CSV_HEADER = ["seq", "lat_deg", "lon_deg", "alt_m", "rsrp_dbm"]
 MAX_FIELD_POINTS = 5000
@@ -139,13 +140,7 @@ def custom_trajectory(corners, sample_spacing_m: float,
     if len(corners) < 2:
         raise RangeError("custom trajectory needs at least two corners")
     origin = corners[0]
-    from .geo import to_local_xy
-
-    x, y = to_local_xy(
-        np.array([c.lat_deg for c in corners]),
-        np.array([c.lon_deg for c in corners]),
-        origin,
-    )
+    x, y = to_local_xy(*_point_columns(corners)[:2], origin)
     if alt_m is None:
         alt_m = corners[0].alt_m
     wps = _resample_polyline(list(zip(x, y)), sample_spacing_m, alt_m, origin)
@@ -207,13 +202,7 @@ def sample_correlated_field(points, corr: CorrelationModel, seed):
         TooManyPoints: above the dense factorization bound (the check is
             skipped for sigma_z = 0, which needs no factorization).
     """
-    sampler = CorrelatedFieldSampler(
-        np.array([p.lat_deg for p in points]),
-        np.array([p.lon_deg for p in points]),
-        np.array([p.alt_m for p in points]),
-        corr,
-    )
-    return sampler.draw(seed)
+    return CorrelatedFieldSampler(*_point_columns(points), corr).draw(seed)
 
 
 def _blob_loss(blobs, lat, lon, alt):
@@ -279,24 +268,18 @@ class SyntheticTruth:
         return float(det[0]) if scalar else det
 
     def at_points(self, points):
-        return self.at(
-            [p.lat_deg for p in points],
-            [p.lon_deg for p in points],
-            [p.alt_m for p in points],
-        )
+        return self.at(*_point_columns(points))
 
 
 def generate_campaign(scene: SceneSpec, traj: Trajectory):
-    """Measurements along a trajectory plus the matching truth handle.
+    """A :class:`Campaign` along a trajectory plus the matching truth handle.
 
     Per waypoint: two-ray power (with any pattern distortion inside the
     receiver gain), plus the correlated shadow-fading draw, plus blob
     losses, plus white noise of ``scene.noise_sd``.  The noise stream
     and the field draw are derived independently from ``scene.seed``.
     """
-    lat = np.array([p.lat_deg for p in traj.waypoints])
-    lon = np.array([p.lon_deg for p in traj.waypoints])
-    alt = np.array([p.alt_m for p in traj.waypoints])
+    lat, lon, alt = _point_columns(traj.waypoints)
     cfg = _effective_cfg(scene)
     geom, valid = link_geometry_batch(scene.gs, lat, lon, alt, cfg.wavelength_m)
     if not np.all(valid):
@@ -311,28 +294,21 @@ def generate_campaign(scene: SceneSpec, traj: Trajectory):
         rng = np.random.default_rng(np.random.SeedSequence((scene.seed, 1)))
         noise = scene.noise_sd * rng.standard_normal(len(lat))
 
-    rsrp = det + sf + noise
-    measurements = [
-        Measurement(p, float(r), seq=i)
-        for i, (p, r) in enumerate(zip(traj.waypoints, rsrp))
-    ]
+    campaign = Campaign(lat, lon, alt, det + sf + noise)
     truth = SyntheticTruth(scene, sampler, lat, lon, alt, sf)
-    return measurements, truth
+    return campaign, truth
 
 
 def write_measurements_csv(path, measurements):
-    """Export in the harness CSV format; byte-identical per campaign."""
+    """Export a :class:`Campaign` or :class:`Measurement` list in the
+    harness CSV format; byte-identical per campaign."""
+    c = Campaign.of(measurements)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(MEASUREMENT_CSV_HEADER)
-        for m in measurements:
-            writer.writerow([
-                m.seq,
-                repr(float(m.location.lat_deg)),
-                repr(float(m.location.lon_deg)),
-                repr(float(m.location.alt_m)),
-                repr(float(m.rsrp_dbm)),
-            ])
+        floats = zip(*(col.tolist() for col in (c.lat, c.lon, c.alt, c.rsrp)))
+        writer.writerows([seq, *map(repr, row)]
+                         for seq, row in zip(c.seq.tolist(), floats))
 
 
 def _geopoint_to_dict(p: GeoPoint) -> dict:

@@ -54,54 +54,79 @@ class SfSample:
     seq: int = 0
 
 
-class SampleSet:
-    """Shadow-fading residuals as columns, for vectorized math.
+class _Columns:
+    """Equal-length 1-D columns that iterate and index like a row list.
 
-    Holds ``lat``, ``lon``, ``alt``, ``z`` and ``seq`` arrays of equal
-    length.  Predictors accept either a list of :class:`SfSample` or
-    one of these.  Iterating yields :class:`SfSample` rows; indexing
-    with an integer gives one row, and with a slice, an index array or
-    a boolean mask, a new set.
+    A subclass names ``lat``, ``lon``, ``alt``, one value column and
+    ``seq`` (0, 1, ... when omitted) in ``__slots__``, its row type in
+    ``_row`` and the row attribute holding the value in ``_value``.  An
+    integer index gives one row; a slice, an index array or a boolean
+    mask gives a new instance.
     """
 
-    __slots__ = ("lat", "lon", "alt", "z", "seq")
+    __slots__ = ()
 
-    def __init__(self, lat, lon, alt, z, seq=None):
-        self.lat = np.asarray(lat, dtype=float)
-        self.lon = np.asarray(lon, dtype=float)
-        self.alt = np.asarray(alt, dtype=float)
-        self.z = np.asarray(z, dtype=float)
-        if seq is None:
-            seq = np.arange(len(self.z))
-        self.seq = np.asarray(seq)
+    def __init__(self, lat, lon, alt, value, seq=None):
+        cols = [np.asarray(c, dtype=float) for c in (lat, lon, alt, value)]
+        cols.append(np.arange(cols[3].size) if seq is None
+                    else np.asarray(seq, dtype=int))
+        if {c.shape for c in cols} != {(cols[3].size,)}:
+            raise ValueError("columns must be 1-D and of equal length, got "
+                             + ", ".join(f"{name} {c.shape}" for name, c
+                                         in zip(self.__slots__, cols)))
+        for name, col in zip(self.__slots__, cols):
+            setattr(self, name, col)
 
     @classmethod
-    def from_samples(cls, samples):
-        if isinstance(samples, cls):
-            return samples
-        return cls(
-            [s.location.lat_deg for s in samples],
-            [s.location.lon_deg for s in samples],
-            [s.location.alt_m for s in samples],
-            [s.z for s in samples],
-            [s.seq for s in samples],
-        )
+    def of(cls, rows):
+        """``rows`` itself if already an instance, else its rows' columns."""
+        if isinstance(rows, cls):
+            return rows
+        cols = zip(*((r.location.lat_deg, r.location.lon_deg, r.location.alt_m,
+                      getattr(r, cls._value), r.seq) for r in rows))
+        return cls(*(list(cols) or [()] * 5))
 
     def __len__(self):
-        return len(self.z)
+        return len(self.seq)
 
     def __getitem__(self, index):
+        lat, lon, alt, value, seq = (getattr(self, n)[index]
+                                     for n in self.__slots__)
         if isinstance(index, (int, np.integer)):
-            return SfSample(
-                GeoPoint(float(self.lat[index]), float(self.lon[index]),
-                         float(self.alt[index])),
-                float(self.z[index]), int(self.seq[index]),
-            )
-        return SampleSet(self.lat[index], self.lon[index], self.alt[index],
-                         self.z[index], self.seq[index])
+            return self._row(GeoPoint(float(lat), float(lon), float(alt)),
+                             float(value), int(seq))
+        return type(self)(lat, lon, alt, value, seq)
 
     def __iter__(self):
         return map(self.__getitem__, range(len(self)))
+
+
+class SampleSet(_Columns):
+    """Shadow-fading residuals as columns, for vectorized math.
+
+    Holds ``lat``, ``lon``, ``alt``, ``z`` and ``seq`` arrays of equal
+    length, and iterates and indexes as :class:`SfSample` rows.
+    Predictors accept either a list of :class:`SfSample` or one of
+    these; a :class:`Campaign` is neither, so raw power is rejected.
+    """
+
+    __slots__ = ("lat", "lon", "alt", "z", "seq")
+    _row = SfSample
+    _value = "z"
+    from_samples = classmethod(_Columns.of.__func__)
+
+
+class Campaign(_Columns):
+    """Received-power measurements as columns.
+
+    Holds ``lat``, ``lon``, ``alt``, ``rsrp`` (dBm) and ``seq`` arrays
+    of equal length, and iterates and indexes as :class:`Measurement`
+    rows.  It has no ``append``; ``list(campaign)`` gives a list to edit.
+    """
+
+    __slots__ = ("lat", "lon", "alt", "rsrp", "seq")
+    _row = Measurement
+    _value = "rsrp_dbm"
 
 
 @dataclass(frozen=True)
@@ -166,17 +191,6 @@ def semivariogram(model: CorrelationModel, a: GeoPoint, b: GeoPoint) -> float:
     return float(model.semivariogram_at(*_pair_lags(a, b)))
 
 
-def _measurement_columns(measurements):
-    """``(lat, lon, alt, rsrp, seq)`` arrays of a :class:`Measurement` list."""
-    return (
-        np.array([m.location.lat_deg for m in measurements], dtype=float),
-        np.array([m.location.lon_deg for m in measurements], dtype=float),
-        np.array([m.location.alt_m for m in measurements], dtype=float),
-        np.array([m.rsrp_dbm for m in measurements], dtype=float),
-        np.array([m.seq for m in measurements], dtype=int),
-    )
-
-
 def _predicted_power(cfg: PropagationConfig, gs: GeoPoint, lat, lon, alt,
                      delta_gain=None, seq=None):
     """Link geometry and deterministic received power at each row.
@@ -202,7 +216,7 @@ def extract_sf(measurements, cfg: PropagationConfig, gs: GeoPoint,
     """Shadow-fading residuals: measured power minus the two-ray mean.
 
     Args:
-        measurements: list of :class:`Measurement`.
+        measurements: a :class:`Campaign` or a list of :class:`Measurement`.
         cfg: propagation configuration used for the deterministic part.
         gs: ground-station location.
         delta_gain: optional calibrated receive-gain correction.
@@ -214,9 +228,9 @@ def extract_sf(measurements, cfg: PropagationConfig, gs: GeoPoint,
     Raises:
         DegenerateLink: if a measurement coincides with the station.
     """
-    lat, lon, alt, rsrp, seq = _measurement_columns(measurements)
-    _, rhat = _predicted_power(cfg, gs, lat, lon, alt, delta_gain, seq)
-    return SampleSet(lat, lon, alt, rsrp - rhat, seq)
+    c = Campaign.of(measurements)
+    _, rhat = _predicted_power(cfg, gs, c.lat, c.lon, c.alt, delta_gain, c.seq)
+    return SampleSet(c.lat, c.lon, c.alt, c.rsrp - rhat, c.seq)
 
 
 def estimate_sigma(sf) -> float:

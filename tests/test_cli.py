@@ -300,8 +300,8 @@ def test_reconstruct_unknown_method_exits_before_reading(work, tmp_path,
 
 
 def test_eval_test_row_on_station_exits_3(work, tmp_path, capsys):
-    rows = ingest_measurements(work / "test.csv")
-    rows.append(rs.Measurement(GS, -40.0, seq=10**6))
+    rows = (list(ingest_measurements(work / "test.csv"))
+            + [rs.Measurement(GS, -40.0, seq=10**6)])
     path = tmp_path / "station.csv"
     write_measurements_csv(path, rows)
     assert main(["eval", "--config", str(work / "eval_config.json"),

@@ -41,6 +41,10 @@ def test_ingest_round_trip(tmp_path, gaussian_campaigns):
     path = tmp_path / "train.csv"
     write_measurements_csv(path, train)
     back = ingest_measurements(path)
+    assert isinstance(back, rs.Campaign)
+    for name in ("lat", "lon", "alt", "rsrp", "seq"):
+        np.testing.assert_array_equal(getattr(back, name),
+                                      getattr(train, name))
     assert len(back) == len(train)
     for a, b in zip(back, train):
         assert a.seq == b.seq
@@ -77,6 +81,14 @@ def test_ingest_parse_errors(tmp_path):
     with pytest.raises(rs.RangeError) as exc:
         ingest_measurements(p)
     assert "line 2" in str(exc.value)
+
+    # the first faulty line wins, whatever the kinds of fault
+    p.write_text("seq,lat_deg,lon_deg,alt_m,rsrp_dbm\n0,35.7,-78.7,50.0,-60.0\n"
+                 "1,95.0,-78.7,50.0,-60.0\n2,35.7,-78.7,50.0,-60.0\n"
+                 "3,35.7,-78.7,50.0\n")
+    with pytest.raises(rs.RangeError) as exc:
+        ingest_measurements(p)
+    assert str(exc.value).startswith("line 3: latitude 95.0")
 
 
 # ----------------------------------------------------------------- protocol

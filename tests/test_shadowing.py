@@ -387,12 +387,33 @@ def test_sample_set_round_trip():
             np.testing.assert_array_equal(getattr(sub, name),
                                           getattr(s, name)[index])
 
+    meas = make_measurements(pts, PROP, GS)
+    c = rs.Campaign.of(meas)
+    assert len(c) == 6
+    assert rs.Campaign.of(c) is c
+    assert list(c) == meas
+    assert c[2] == meas[2]
+    for index in (slice(1, 5, 2), np.array([4, 0, 3]), c.rsrp > c.rsrp[2]):
+        sub = c[index]
+        assert isinstance(sub, rs.Campaign)
+        assert list(sub) == list(np.array(meas, dtype=object)[index])
+
+    # a ragged column must not broadcast: gpr_fit would give every row
+    # the one longitude
+    with pytest.raises(ValueError, match=r"lon \(1,\)"):
+        SampleSet([35.7, 35.701, 35.702], [-78.7], [50] * 3, [1., 2., 3.])
+    with pytest.raises(ValueError, match=r"rsrp \(2, 3\)"):
+        rs.Campaign([0.0] * 6, [0.0] * 6, [0.0] * 6, np.zeros((2, 3)))
+    with pytest.raises(ValueError, match=r"lat \(\)"):
+        SampleSet(35.7, -78.7, 50.0, 1.0)
+
 
 def test_predictors_reject_measurement_rows():
     pts = grid_points(4, 3, 90.0, 80.0, 60.0)
     meas = make_measurements(pts, PROP, GS)
     target = offset_point(GS, 100.0, 100.0, 60.0)
-    with pytest.raises(AttributeError):
-        ok_predict(meas, CORR, target, KrigingConfig(radius_m=500.0))
-    with pytest.raises(AttributeError):
-        gpr_fit(meas, CORR, 2.0, 1.0)
+    for rows in (meas, rs.Campaign.of(meas)):
+        with pytest.raises(AttributeError):
+            ok_predict(rows, CORR, target, KrigingConfig(radius_m=500.0))
+        with pytest.raises(AttributeError):
+            gpr_fit(rows, CORR, 2.0, 1.0)
