@@ -61,7 +61,7 @@ test, _ = rs.generate_campaign(eval_scene, mission)
 
 shared = dict(gs=GS, prop=FRIIS, test_campaign=test, method="OK",
               radius_m=200.0, iterations=200, seed=77, corr_model=FIELD,
-              workers=4, delta=delta)
+              delta=delta)
 print(f"mapping mission: {len(test)} measurements, kriging from M samples")
 print(f"{'M':>5} {'uncalibrated':>13} {'calibrated':>11}")
 for m in (10, 25, 50):

@@ -169,6 +169,11 @@ def _cmd_reconstruct(args):
     samples = extract_sf(measurements, prop, gs, delta_gain=delta)
     spec = build_grid(samples, args.spacing)
     if args.alt is not None:
+        if method == "MC_GPR" and np.any(samples.alt != args.alt):
+            raise _ConfigProblem(
+                f"MC_GPR maps the samples' own altitude; --alt {args.alt:g} "
+                "differs from it"
+            )
         spec = dataclasses.replace(spec, alt_m=args.alt)
 
     lat_q, lon_q = (g.ravel() for g in spec.node_latlon())
@@ -359,7 +364,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spacing", type=float, default=25.0,
                    help="grid spacing (m)")
     p.add_argument("--alt", type=float, default=None,
-                   help="grid altitude (m); default: campaign mean")
+                   help="grid altitude (m); default: campaign mean; "
+                   "MC_GPR takes only the samples' altitude")
     p.add_argument("--delta-csv", default=None, dest="delta_csv",
                    help="gain correction CSV to apply")
     p.set_defaults(func=_cmd_reconstruct)
@@ -379,7 +385,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("-R", "--radius", type=float, default=None)
         p.add_argument("--iterations", type=int, default=None)
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--workers", type=int, default=None)
+        p.add_argument("--workers", type=int, default=None,
+                       help="accepted for compatibility and has no effect: "
+                       "iterations run serially")
         p.add_argument("--calibrated", action="store_true")
         p.add_argument("--delta-csv", default=None, dest="delta_csv")
         if name == "eval":

@@ -15,7 +15,7 @@ import numpy as np
 from scipy import ndimage
 from scipy.interpolate import RectBivariateSpline
 
-from .errors import DegenerateExtent
+from .errors import DegenerateExtent, RangeError
 from .geo import GeoPoint, from_local_xy, to_local_xy
 from .gpr import GprModel, gpr_predict_batch
 from .shadowing import SampleSet
@@ -214,15 +214,30 @@ def dilate_deep_shadow(z_ds: np.ndarray, radius: int = 1) -> np.ndarray:
     return np.where(neg >= pos, -neg, pos)
 
 
+def _check_one_altitude(alt):
+    """Raise RangeError unless ``alt`` holds a single altitude."""
+    alts = np.unique(alt)
+    if alts.size > 1:
+        raise RangeError(
+            f"MC_GPR maps one altitude layer; the samples span {alts.size} "
+            f"altitudes ({alts[0]:g} to {alts[-1]:g} m)"
+        )
+
+
 class McAssistedGpr:
     """Completion-assisted field: grid pipeline plus off-grid spline.
 
     Runs the full pipeline once at construction; ``predict`` then
     evaluates a bicubic interpolant of the recombined grid, clamping
-    queries outside the grid to the nearest edge.
+    queries outside the grid to the nearest edge.  The grid is one
+    horizontal layer, so the model's samples must share one altitude.
+
+    Raises:
+        RangeError: the model's samples span more than one altitude.
     """
 
     def __init__(self, model: GprModel, cfg: McConfig, spec: GridSpec = None):
+        _check_one_altitude(model.train.alt)
         if spec is None:
             spec = build_grid(model.train, cfg.grid_spacing_m)
         self.cfg = cfg

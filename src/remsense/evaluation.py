@@ -9,21 +9,20 @@ gain calibration) only ever sees the training campaign; the test
 campaign contributes the M sampled inputs per iteration plus the
 held-out values at scoring time, nothing else.
 
-Iterations use independent RNG streams derived from (seed, index), so
-results are bit-identical no matter how many worker threads run them.
+Iterations run serially, in index order, each on its own RNG stream
+derived from (seed, index).
 """
 
 import csv
 import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
 from .calibration import delta_gain, estimate_a_uav, estimate_effective_pattern
-from .completion import McAssistedGpr, McConfig
+from .completion import McAssistedGpr, McConfig, _check_one_altitude
 from .errors import (
     FitDiverged,
     InsufficientData,
@@ -63,7 +62,9 @@ class EvalConfig:
     ``train_campaign`` / ``test_campaign`` may be CSV paths or in-memory
     measurement lists.  ``corr_model`` / ``sigma_split`` / ``delta``
     override the train-campaign fits when supplied; otherwise everything
-    a method needs is fitted from the training campaign.
+    a method needs is fitted from the training campaign.  ``workers`` is
+    accepted for compatibility and has no effect: iterations run
+    serially.
     """
 
     gs: GeoPoint
@@ -97,6 +98,10 @@ class EvalConfig:
             raise ValueError("iterations must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        if not self.radius_m > 0.0:
+            raise ValueError(f"radius_m must be positive, got {self.radius_m}")
+        if self.jitter < 0.0:
+            raise ValueError(f"jitter must be >= 0, got {self.jitter}")
 
 
 @dataclass
@@ -398,14 +403,13 @@ def _residuals_gpr(cfg, fit, data, s_idx, z_m, t_idx, counters):
     return pipeline.predict(data.lat[t_idx], data.lon[t_idx])
 
 
-def _run_iteration(cfg, fit, data, index):
+def _run_iteration(cfg, fit, data, index, counters):
+    """One draw: returns the errors at the targets and their elevation bins."""
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, index)))
     sampled = rng.choice(data.n, size=cfg.m_samples, replace=False)
     mask = np.ones(data.n, dtype=bool)
     mask[sampled] = False
     targets = np.nonzero(mask)[0]
-    counters = {"fallback_targets": 0, "variance_clamps": 0,
-                "mc_bisection_maxed": 0}
 
     z_m = data.values.take(sampled) - data.rhat[sampled]
     if cfg.method == "TRPL_only":
@@ -418,18 +422,7 @@ def _run_iteration(cfg, fit, data, index):
                                    counters)
 
     pred = data.rhat[targets] + w_hat
-    measured = data.values.take(targets)
-    err = pred - measured
-    rmse = float(np.sqrt(np.mean(err**2)))
-
-    bins = data.elev_bin[targets]
-    sq = err**2
-    bin_rmse = np.full(ELEVATION_BIN_COUNT, np.nan)
-    for b in range(ELEVATION_BIN_COUNT):
-        sel = bins == b
-        if np.any(sel):
-            bin_rmse[b] = float(np.sqrt(np.mean(sq[sel])))
-    return rmse, bin_rmse, counters
+    return pred - data.values.take(targets), data.elev_bin[targets]
 
 
 def monte_carlo_eval(cfg: EvalConfig, test_values: CampaignValues = None
@@ -446,6 +439,8 @@ def monte_carlo_eval(cfg: EvalConfig, test_values: CampaignValues = None
         ValueError: invalid configuration, including a test row equal to
             a train row or m_samples >= test campaign size.
         DegenerateLink: a test row coincides with the station.
+        RangeError: MC_GPR on a test campaign that spans more than one
+            altitude.
     """
     train = _load_campaign(cfg.train_campaign)
     test = _load_campaign(cfg.test_campaign)
@@ -455,29 +450,25 @@ def monte_carlo_eval(cfg: EvalConfig, test_values: CampaignValues = None
         raise ValueError(
             f"m_samples={cfg.m_samples} must be < test campaign size {len(test)}"
         )
+    if cfg.method == "MC_GPR":
+        _check_one_altitude(test.alt)
     _check_disjoint(train, test)
     delta, fit = _fit_from_train(cfg, train)
     data = _prepare_test(cfg, test, delta, values_override=test_values)
 
-    indices = range(cfg.iterations)
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(
-                lambda i: _run_iteration(cfg, fit, data, i), indices
-            ))
-    else:
-        results = [_run_iteration(cfg, fit, data, i) for i in indices]
-
-    rmse = [r[0] for r in results]
-    bin_stack = np.vstack([r[1] for r in results])
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        bin_median = np.nanmedian(bin_stack, axis=0)
+    rmse = np.empty(cfg.iterations)
+    bin_rmse = np.full((cfg.iterations, ELEVATION_BIN_COUNT), np.nan)
     counters = {"fallback_targets": 0, "variance_clamps": 0,
                 "mc_bisection_maxed": 0}
-    for _, _, c in results:
-        for key in counters:
-            counters[key] += c[key]
+    for i in range(cfg.iterations):
+        err, bins = _run_iteration(cfg, fit, data, i, counters)
+        sq = err**2
+        rmse[i] = np.sqrt(np.mean(sq))
+        for b in np.unique(bins):
+            bin_rmse[i, b] = np.sqrt(np.mean(sq[bins == b]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        bin_median = np.nanmedian(bin_rmse, axis=0)
     centers = [
         ELEVATION_BIN_DEG / 2 + ELEVATION_BIN_DEG * b
         for b in range(ELEVATION_BIN_COUNT)
@@ -485,7 +476,7 @@ def monte_carlo_eval(cfg: EvalConfig, test_values: CampaignValues = None
     return EvaluationReport(
         method=cfg.method,
         calibrated=cfg.calibrated,
-        rmse_db=rmse,
+        rmse_db=rmse.tolist(),
         median_rmse_db=float(np.median(rmse)),
         elevation_bin_centers=centers,
         elevation_bin_rmse_db=[

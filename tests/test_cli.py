@@ -174,7 +174,7 @@ def test_reconstruct_kriged_grid(work, tmp_path):
     assert np.all(np.isfinite(body))
 
 
-@pytest.mark.parametrize("method", ["SK", "TG_OK", "TG_SK"])
+@pytest.mark.parametrize("method", ["SK", "TG_OK", "TG_SK", "GPR", "MC_GPR"])
 def test_reconstruct_other_kriging_variants(work, tmp_path, method):
     out = tmp_path / f"grid_{method}.csv"
     code = main(["reconstruct", "--measurements", str(work / "train.csv"),
@@ -184,6 +184,16 @@ def test_reconstruct_other_kriging_variants(work, tmp_path, method):
     body = np.loadtxt(out, delimiter=",", skiprows=1)
     assert len(body) > 4
     assert np.all(np.isfinite(body))
+
+
+def test_reconstruct_mc_gpr_rejects_another_altitude(work, tmp_path, capsys):
+    out = tmp_path / "grid_mc.csv"
+    assert main(["reconstruct", "--measurements", str(work / "train.csv"),
+                 "--config", str(work / "config.json"), "--out", str(out),
+                 "--method", "MC_GPR", "--spacing", "60",
+                 "--alt", "80"]) == 2
+    assert "--alt 80" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_reconstruct_tg_krigs_with_the_shared_score_model(work, tmp_path):
@@ -260,6 +270,11 @@ def test_eval_validation_exit_codes(work, tmp_path, capsys):
     broken.write_text("{nope")
     assert main(["eval", "--config", str(broken),
                  "--test", str(work / "test.csv")]) == 2
+
+    assert main(["eval", "--config", str(work / "eval_config.json"),
+                 "--test", str(work / "test.csv"), "-R", "0",
+                 "--iterations", "1"]) == 2
+    assert "radius_m must be positive" in capsys.readouterr().err
 
     mc_bad = tmp_path / "mc.json"
     doc = json.loads((work / "eval_config.json").read_text())

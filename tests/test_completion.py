@@ -266,6 +266,17 @@ def test_pipeline_with_huge_threshold_is_plain_bicubic():
         )
 
 
+def test_pipeline_rejects_samples_at_two_altitudes():
+    rng = np.random.default_rng(57)
+    pts = [offset_point(GS, float(rng.uniform(0, 220)),
+                        float(rng.uniform(0, 160)), alt)
+           for alt in (40.0, 120.0) for _ in range(40)]
+    m = gpr_fit(samples_of(pts, rng.normal(0, 2, len(pts))), CORR,
+                sigma_y=2.0, sigma_gp=0.5)
+    with pytest.raises(rs.RangeError, match="2 altitudes"):
+        McAssistedGpr(m, McConfig())
+
+
 def test_pipeline_interpolates_grid_nodes():
     m = pipeline_model(seed=52)
     spec = build_grid(m.train, spacing_m=12.0)

@@ -15,6 +15,7 @@ from remsense.scenes import (
     SceneSpec,
     generate_campaign,
     ring_trajectory,
+    stack_altitudes,
     write_measurements_csv,
 )
 
@@ -123,10 +124,15 @@ def test_repeat_run_bit_identical(gaussian_campaigns):
 
 def test_worker_count_does_not_change_results(gaussian_campaigns):
     train, test, _ = gaussian_campaigns
-    serial = monte_carlo_eval(base_cfg(test, train, iterations=8, workers=1))
-    threaded = monte_carlo_eval(base_cfg(test, train, iterations=8, workers=4))
-    assert serial.rmse_db == threaded.rmse_db
-    assert serial.counters == threaded.counters
+    for method, iterations in (("OK", 8), ("GPR", 4), ("MC_GPR", 2)):
+        one, four = (
+            monte_carlo_eval(base_cfg(test, train, method=method,
+                                      iterations=iterations, workers=w))
+            for w in (1, 4)
+        )
+        assert one.rmse_db == four.rmse_db
+        assert one.elevation_bin_rmse_db == four.elevation_bin_rmse_db
+        assert one.counters == four.counters
 
 
 def test_row_order_in_csv_does_not_matter(tmp_path, gaussian_campaigns):
@@ -214,9 +220,25 @@ def test_validation_errors(gaussian_campaigns):
         monte_carlo_eval(base_cfg(test, method="TRPL_only", calibrated=True,
                                   iterations=1))
     for bad in (dict(method="IDW"), dict(m_samples=0), dict(iterations=0),
-                dict(workers=0)):
+                dict(workers=0), dict(radius_m=0.0), dict(radius_m=-5.0),
+                dict(jitter=-1.0)):
         with pytest.raises(ValueError):
             base_cfg(test, **bad)
+
+
+def test_mc_gpr_rejects_a_multi_altitude_test_campaign(gaussian_campaigns):
+    train, _, _ = gaussian_campaigns
+    base = rs.GeoPoint(35.721, -78.702, 50.0)
+    track = rs.zigzag_trajectory(base, 500, 400, n_legs=11, alt_m=70.0,
+                                 sample_spacing_m=14.0)
+    scene = SceneSpec(gs=GS, cfg=PROP, corr=CORR, seed=102)
+    stacked, _ = generate_campaign(scene, stack_altitudes(track, [40.0, 120.0]))
+    assert len(stacked) == 640
+    audit = _AuditValues(stacked.rsrp)
+    with pytest.raises(rs.RangeError, match="2 altitudes"):
+        monte_carlo_eval(base_cfg(stacked, train, method="MC_GPR",
+                                  iterations=2), test_values=audit)
+    assert audit.calls == []  # raised before the first iteration
 
 
 def test_train_rows_in_test_campaign_rejected(gaussian_campaigns):
