@@ -14,9 +14,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import NoSupportedBins, ParseError, RangeError, _read_csv_rows
+from .errors import NoSupportedBins, RangeError
 from .geo import GeoPoint, link_geometry_batch
-from .patterns import AntennaPattern, gain_linear
+from .patterns import AntennaPattern, _read_az_el_table, gain_linear
 from .propagation import PropagationConfig
 from .shadowing import Campaign
 
@@ -239,24 +239,12 @@ def read_delta_csv(path, min_support: int = 1) -> CalibratedDelta:
     behavior no matter what threshold produced the file.
     """
     parse = (float, float, float, lambda v: int(float(v)))
-    rows = [r for _, r in _read_csv_rows(path, DELTA_CSV_HEADER, parse)]
-    if not rows:
-        raise ParseError("delta file has no data rows")
-    arr = np.array(rows)
-    az_centers = np.unique(arr[:, 0])
-    el_centers = np.unique(arr[:, 1])
-    if len(arr) != len(az_centers) * len(el_centers):
-        raise ParseError("rows do not form a complete az x el bin grid")
-    delta = np.zeros((len(az_centers), len(el_centers)))
-    support = np.zeros((len(az_centers), len(el_centers)), dtype=int)
-    ia = np.searchsorted(az_centers, arr[:, 0])
-    ie = np.searchsorted(el_centers, arr[:, 1])
-    delta[ia, ie] = arr[:, 2]
-    support[ia, ie] = arr[:, 3].astype(int)
+    az_centers, el_centers, (delta, support) = _read_az_el_table(
+        path, DELTA_CSV_HEADER, parse, "delta")
     return CalibratedDelta(
         az_centers=az_centers,
         el_centers=el_centers,
         delta_db=delta,
-        support=support,
+        support=support.astype(int),
         min_support=min_support,
     )

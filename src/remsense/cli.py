@@ -159,6 +159,8 @@ def _cmd_reconstruct(args):
     method = args.method or doc.get("method", "OK")
     if method not in METHODS:
         raise _ConfigProblem(f"method must be one of {METHODS}")
+    if not args.spacing > 0:
+        raise _ConfigProblem(f"spacing must be positive, got {args.spacing:g}")
     radius_m = args.radius if args.radius is not None else doc.get(
         "radius_m", 200.0)
     delta = None

@@ -77,9 +77,12 @@ def build_grid(samples, spacing_m: float = 5.0) -> GridSpec:
     """Axis-aligned grid covering the samples' bounding box.
 
     Raises:
+        RangeError: if ``spacing_m`` is not positive.
         DegenerateExtent: if the samples span less than one cell in
             either horizontal direction.
     """
+    if not spacing_m > 0:
+        raise RangeError(f"grid spacing must be positive, got {spacing_m}")
     s = SampleSet.from_samples(samples)
     origin = GeoPoint(float(np.min(s.lat)), float(np.min(s.lon)),
                       float(np.mean(s.alt)))

@@ -29,7 +29,7 @@ from .errors import (
     ParseError,
     _read_csv_rows,
 )
-from .geo import GeoPoint, _arc_distance, _check_location
+from .geo import GeoPoint, _check_location, _cross_lags
 from .gpr import estimate_hyperparameters, gpr_fit, gpr_predict_batch
 from .kriging import (
     NormalScoreTransform,
@@ -86,8 +86,6 @@ class EvalConfig:
     calibration_bin_deg: float = 5.0
     calibration_min_support: int = 25
     mc: McConfig = field(default_factory=McConfig)
-    dh_edges: object = None
-    dv_edges: object = None
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -217,15 +215,13 @@ class ResidualModel:
 
 def fit_residual_model(samples: Optional[SampleSet], method: str,
                        corr: CorrelationModel = None, mean_z: float = None,
-                       sigma_split: tuple = None, dh_edges=None,
-                       dv_edges=None) -> ResidualModel:
+                       sigma_split: tuple = None) -> ResidualModel:
     """Fit the residual model ``method`` needs from shadow-fading samples.
 
     Args:
         samples: the residuals, or None when ``corr`` is given.
         method: a reconstruction method other than ``TRPL_only``.
         corr, mean_z, sigma_split: used as given instead of fitted.
-        dh_edges, dv_edges: lag bins of the empirical correlation tables.
 
     Raises:
         ValueError: no samples and no ``corr``, or a TG method without
@@ -236,9 +232,7 @@ def fit_residual_model(samples: Optional[SampleSet], method: str,
             raise ValueError(
                 f"method {method} needs a train campaign or corr_model"
             )
-        corr = fit_correlation_model(empirical_correlation(
-            samples, dh_edges=dh_edges, dv_edges=dv_edges
-        ))
+        corr = fit_correlation_model(empirical_correlation(samples))
     if mean_z is None:
         mean_z = 0.0 if samples is None else float(np.mean(samples.z))
 
@@ -247,9 +241,7 @@ def fit_residual_model(samples: Optional[SampleSet], method: str,
         if sigma_split is not None:
             sigma_y, sigma_gp = sigma_split
         elif samples is not None:
-            sigma_y, sigma_gp = estimate_hyperparameters(
-                samples, corr, dh_edges=dh_edges, dv_edges=dv_edges
-            )
+            sigma_y, sigma_gp = estimate_hyperparameters(samples, corr)
         else:
             sigma_y = corr.sigma_z
 
@@ -267,9 +259,7 @@ def fit_residual_model(samples: Optional[SampleSet], method: str,
         scores = SampleSet(samples.lat, samples.lon, samples.alt,
                            transform.forward(samples.z), samples.seq)
         try:
-            corr_u = fit_correlation_model(empirical_correlation(
-                scores, dh_edges=dh_edges, dv_edges=dv_edges
-            ))
+            corr_u = fit_correlation_model(empirical_correlation(scores))
         except (InsufficientData, FitDiverged):
             # scores are near standard normal; reuse the raw-domain
             # shape at unit variance
@@ -302,11 +292,9 @@ def _fit_from_train(cfg: EvalConfig, train):
     samples = None
     if train is not None:
         samples = extract_sf(train, cfg.prop, cfg.gs, delta_gain=delta)
-    return delta, fit_residual_model(
-        samples, cfg.method, corr=cfg.corr_model, mean_z=cfg.mean_z,
-        sigma_split=cfg.sigma_split, dh_edges=cfg.dh_edges,
-        dv_edges=cfg.dv_edges,
-    )
+    return delta, fit_residual_model(samples, cfg.method, corr=cfg.corr_model,
+                                     mean_z=cfg.mean_z,
+                                     sigma_split=cfg.sigma_split)
 
 
 @dataclass
@@ -350,14 +338,10 @@ def _residuals_kriging(cfg, fit, data, s_idx, z_m, t_idx, counters):
         model = fit.corr_u
         values = np.asarray(transform.forward(z_m), dtype=float)
         mean = transform.mean_u
-    lat_s, lon_s, alt_s = data.lat[s_idx], data.lon[s_idx], data.alt[s_idx]
-    lat_t, lon_t, alt_t = data.lat[t_idx], data.lon[t_idx], data.alt[t_idx]
-    dh_ss = _arc_distance(lat_s[:, None], lon_s[:, None],
-                          lat_s[None, :], lon_s[None, :])
-    dv_ss = np.abs(alt_s[:, None] - alt_s[None, :])
-    dh_ts = _arc_distance(lat_t[:, None], lon_t[:, None],
-                          lat_s[None, :], lon_s[None, :])
-    dv_ts = np.abs(alt_t[:, None] - alt_s[None, :])
+    sampled = data.lat[s_idx], data.lon[s_idx], data.alt[s_idx]
+    dh_ss, dv_ss = _cross_lags(*sampled, *sampled)
+    dh_ts, dv_ts = _cross_lags(data.lat[t_idx], data.lon[t_idx],
+                               data.alt[t_idx], *sampled)
     if ordinary:
         a_ss = model.semivariogram_at(dh_ss, dv_ss)
         a_ts = model.semivariogram_at(dh_ts, dv_ts)

@@ -112,17 +112,39 @@ def _arc_distance(lat1, lon1, lat2, lon2):
     kilometre and cannot return exactly zero for coincident points,
     which downstream exact-interpolation guarantees rely on).
     """
-    p1 = np.radians(lat1)
-    p2 = np.radians(lat2)
-    dphi = np.radians(np.asarray(lat2, dtype=float)
-                      - np.asarray(lat1, dtype=float))
-    dlon = np.radians(np.asarray(lon2, dtype=float)
-                      - np.asarray(lon1, dtype=float))
-    h = (np.sin(dphi / 2.0) ** 2
-         + np.cos(p1) * np.cos(p2) * np.sin(dlon / 2.0) ** 2)
+    lat1 = np.asarray(lat1, dtype=float)
+    lat2 = np.asarray(lat2, dtype=float)
+    dlon = np.asarray(lon2, dtype=float) - np.asarray(lon1, dtype=float)
+    # one term at a time, so that few temporaries of the broadcast
+    # shape are alive at once
+    h = np.sin(np.radians(lat2 - lat1) / 2.0) ** 2
+    h = h + (np.cos(np.radians(lat1)) * np.cos(np.radians(lat2))
+             * np.sin(np.radians(dlon) / 2.0) ** 2)
     # rounding can push the haversine a hair outside [0, 1]
     h = np.clip(h, 0.0, 1.0)
     return 2.0 * EARTH_RADIUS_M * np.arcsin(np.sqrt(h))
+
+
+def _lags(lat1, lon1, alt1, lat2, lon2, alt2):
+    """Horizontal and vertical lag ``(d_h, d_v)`` in metres, elementwise.
+
+    ``d_h`` is the great-circle distance between the ground projections
+    and ``d_v`` the absolute altitude difference: the two arguments of
+    the separable correlation model.  Inputs broadcast like numpy
+    arithmetic, and no input is copied to the broadcast shape.
+    """
+    d_h = _arc_distance(lat1, lon1, lat2, lon2)
+    return d_h, np.abs(np.asarray(alt1, dtype=float)
+                       - np.asarray(alt2, dtype=float))
+
+
+def _cross_lags(lat1, lon1, alt1, lat2, lon2, alt2):
+    """:func:`_lags` from every point of 1-D columns 1 to every point of 2.
+
+    Both returned matrices have shape ``(len(lat1), len(lat2))``.
+    """
+    return _lags(lat1[:, None], lon1[:, None], alt1[:, None],
+                 lat2[None, :], lon2[None, :], alt2[None, :])
 
 
 def _bearing_deg(lat1, lon1, lat2, lon2):
@@ -201,8 +223,7 @@ def link_geometry_batch(gs: GeoPoint, lat, lon, alt, wavelength_m: float):
 
 
 def _link_fields(glat, glon, galt, ulat, ulon, ualt, wavelength_m):
-    d_h = _arc_distance(glat, glon, ulat, ulon)
-    d_v = np.abs(np.asarray(ualt, dtype=float) - galt)
+    d_h, d_v = _lags(glat, glon, galt, ulat, ulon, ualt)
     d_3d = np.hypot(d_h, d_v)
 
     phi_t = _bearing_deg(glat, glon, ulat, ulon)

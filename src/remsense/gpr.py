@@ -12,7 +12,7 @@ import numpy as np
 from scipy import linalg
 
 from .errors import DuplicateLocations, InsufficientData, SingularSystem
-from .geo import GeoPoint, _arc_distance
+from .geo import GeoPoint, _cross_lags
 from .shadowing import CorrelationModel, SampleSet, empirical_correlation
 
 
@@ -39,9 +39,9 @@ class GprModel:
 
 def _latent_cov(corr: CorrelationModel, sigma_y, lat1, lon1, alt1,
                 lat2, lon2, alt2):
-    dh = _arc_distance(lat1, lon1, lat2, lon2)
-    dv = np.abs(np.asarray(alt1, dtype=float) - np.asarray(alt2, dtype=float))
-    return sigma_y**2 * corr.correlation_at(dh, dv)
+    """Latent covariance from every point of columns 1 to every point of 2."""
+    lags = _cross_lags(lat1, lon1, alt1, lat2, lon2, alt2)
+    return sigma_y**2 * corr.correlation_at(*lags)
 
 
 def gpr_fit(samples, corr: CorrelationModel, sigma_y: float,
@@ -66,11 +66,7 @@ def gpr_fit(samples, corr: CorrelationModel, sigma_y: float,
         raise ValueError("standard deviations must be >= 0")
     if sigma_gp == 0.0:
         _check_duplicates(s)
-    k = _latent_cov(
-        corr, sigma_y,
-        s.lat[:, None], s.lon[:, None], s.alt[:, None],
-        s.lat[None, :], s.lon[None, :], s.alt[None, :],
-    )
+    k = _latent_cov(corr, sigma_y, s.lat, s.lon, s.alt, s.lat, s.lon, s.alt)
     k[np.diag_indices_from(k)] += sigma_gp**2
     try:
         cho = linalg.cho_factor(k, lower=True)
@@ -104,11 +100,8 @@ def gpr_predict_batch(model: GprModel, lat, lon, alt):
     lon = np.atleast_1d(np.asarray(lon, dtype=float))
     alt = np.atleast_1d(np.asarray(alt, dtype=float))
     t = model.train
-    k0 = _latent_cov(
-        model.corr, model.sigma_y,
-        t.lat[:, None], t.lon[:, None], t.alt[:, None],
-        lat[None, :], lon[None, :], alt[None, :],
-    )
+    k0 = _latent_cov(model.corr, model.sigma_y, t.lat, t.lon, t.alt,
+                     lat, lon, alt)
     z_hat = k0.T @ model._alpha
     w = linalg.cho_solve(model._cho, k0)
     var = model.prior_variance - np.einsum("ij,ij->j", k0, w)

@@ -18,7 +18,7 @@ from scipy.interpolate import PchipInterpolator
 from scipy.special import ndtri
 
 from .errors import InsufficientData, NoNeighbors, SingularSystem
-from .geo import GeoPoint, _arc_distance
+from .geo import GeoPoint, _cross_lags, _lags
 from .shadowing import CorrelationModel, SampleSet
 
 
@@ -71,23 +71,13 @@ def select_neighbors(samples, target: GeoPoint, radius_m: float) -> np.ndarray:
         NoNeighbors: when the ball is empty.
     """
     s = SampleSet.from_samples(samples)
-    d = _arc_distance(s.lat, s.lon, target.lat_deg, target.lon_deg)
+    d, _ = _lags(s.lat, s.lon, s.alt, target.lat_deg, target.lon_deg,
+                 target.alt_m)
     idx = np.nonzero(d <= radius_m)[0]
     if idx.size == 0:
         raise NoNeighbors(f"no sample within {radius_m} m of the target")
     order = np.lexsort((s.seq[idx], d[idx]))
     return idx[order]
-
-
-def _lag_matrices(s: SampleSet, idx: np.ndarray, target: GeoPoint, target_alt: float):
-    lat = s.lat[idx]
-    lon = s.lon[idx]
-    alt = s.alt[idx]
-    dh_nn = _arc_distance(lat[:, None], lon[:, None], lat[None, :], lon[None, :])
-    dv_nn = np.abs(alt[:, None] - alt[None, :])
-    dh_t = _arc_distance(lat, lon, target.lat_deg, target.lon_deg)
-    dv_t = np.abs(alt - target_alt)
-    return dh_nn, dv_nn, dh_t, dv_t
 
 
 def _solve_with_retry(mat: np.ndarray, rhs: np.ndarray, jitter: float,
@@ -250,8 +240,11 @@ def _krige(samples, model: CorrelationModel, target: GeoPoint,
     """
     s = SampleSet.from_samples(samples)
     idx = select_neighbors(s, target, cfg.radius_m)
-    dh_nn, dv_nn, dh_t, dv_t = _lag_matrices(s, idx, target, target.alt_m)
-    values = s.z[idx]
+    nb = s[idx]
+    dh_nn, dv_nn = _cross_lags(nb.lat, nb.lon, nb.alt, nb.lat, nb.lon, nb.alt)
+    dh_t, dv_t = _lags(nb.lat, nb.lon, nb.alt, target.lat_deg, target.lon_deg,
+                       target.alt_m)
+    values = nb.z
     mean = cfg.mean_z
     if transform is not None:
         values = np.asarray(transform.forward(values), dtype=float)

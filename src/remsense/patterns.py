@@ -203,30 +203,49 @@ def sector_blockage_delta(az_lo_deg: float, az_hi_deg: float, loss_db: float,
     return CalibratedDelta(az_centers, el_centers, delta, support, min_support=1)
 
 
+def _read_az_el_table(path, header, parse, what):
+    """Read ``az, el, value...`` CSV rows that fill an az x el grid.
+
+    Every (az, el) node of the grid spanned by the rows' distinct
+    azimuths and elevations must appear exactly once.
+
+    Returns:
+        ``(az_nodes, el_nodes, values)``: ascending nodes and one
+        ``(len(az_nodes), len(el_nodes))`` array per value column.
+
+    Raises:
+        ParseError: no data rows, a repeated node (at its line) or a
+            missing one.
+    """
+    rows = list(_read_csv_rows(path, header, parse))
+    if not rows:
+        raise ParseError(f"{what} file has no data rows")
+    arr = np.array([fields for _, fields in rows], dtype=float)
+    az_nodes, ia = np.unique(arr[:, 0], return_inverse=True)
+    el_nodes, ie = np.unique(arr[:, 1], return_inverse=True)
+    _, first = np.unique(ia * len(el_nodes) + ie, return_index=True)
+    if len(first) < len(arr):
+        again = np.setdiff1d(np.arange(len(arr)), first)[0]
+        raise ParseError(f"az {arr[again, 0]:g}, el {arr[again, 1]:g} "
+                         "repeats an earlier row", line=rows[again][0])
+    if len(arr) != len(az_nodes) * len(el_nodes):
+        raise ParseError(
+            "rows do not form a complete az x el grid "
+            f"({len(arr)} rows for {len(az_nodes)}x{len(el_nodes)} nodes)"
+        )
+    values = np.empty((arr.shape[1] - 2, len(az_nodes), len(el_nodes)))
+    values[:, ia, ie] = arr[:, 2:].T
+    return az_nodes, el_nodes, tuple(values)
+
+
 def read_pattern_csv(path) -> AntennaPattern:
     """Load a pattern from ``az_deg,el_deg,gain_dbi`` rows.
 
     Rows must enumerate a complete rectangular grid; duplicates and
     gaps are rejected.
     """
-    rows = [r for _, r in _read_csv_rows(path, PATTERN_CSV_HEADER,
-                                         (float, float, float))]
-    if not rows:
-        raise ParseError("pattern file has no data rows")
-    arr = np.array(rows)
-    az_nodes = np.unique(arr[:, 0])
-    el_nodes = np.unique(arr[:, 1])
-    if len(arr) != len(az_nodes) * len(el_nodes):
-        raise ParseError(
-            "rows do not form a complete az x el grid "
-            f"({len(arr)} rows for {len(az_nodes)}x{len(el_nodes)} nodes)"
-        )
-    gain = np.full((len(az_nodes), len(el_nodes)), np.nan)
-    ia = np.searchsorted(az_nodes, arr[:, 0])
-    ie = np.searchsorted(el_nodes, arr[:, 1])
-    gain[ia, ie] = arr[:, 2]
-    if np.any(np.isnan(gain)):
-        raise ParseError("pattern file leaves grid cells unfilled (duplicate rows?)")
+    az_nodes, el_nodes, (gain,) = _read_az_el_table(
+        path, PATTERN_CSV_HEADER, (float, float, float), "pattern")
     return AntennaPattern(az_nodes, el_nodes, gain)
 
 

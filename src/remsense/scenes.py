@@ -16,7 +16,7 @@ import numpy as np
 
 from .calibration import CalibratedDelta
 from .errors import ParseError, RangeError, TooManyPoints
-from .geo import (GeoPoint, _arc_distance, _point_columns, from_local_xy,
+from .geo import (GeoPoint, _cross_lags, _lags, _point_columns, from_local_xy,
                   link_geometry_batch, to_local_xy)
 from .patterns import OffsetPattern, pattern_from_dict, pattern_to_dict
 from .propagation import PropagationConfig, trpl_received_power_db
@@ -178,9 +178,7 @@ class CorrelatedFieldSampler:
                 f"{self.n} points exceeds the dense factorization bound "
                 f"of {MAX_FIELD_POINTS}"
             )
-        dh = _arc_distance(lat[:, None], lon[:, None], lat[None, :], lon[None, :])
-        dv = np.abs(alt[:, None] - alt[None, :])
-        cov = corr.covariance_at(dh, dv)
+        cov = corr.covariance_at(*_cross_lags(lat, lon, alt, lat, lon, alt))
         cov[np.diag_indices_from(cov)] += _DIAG_LIFT
         eigval, eigvec = np.linalg.eigh(cov)
         eigval = np.clip(eigval, 0.0, None)
@@ -211,9 +209,8 @@ def _blob_loss(blobs, lat, lon, alt):
     alt = np.asarray(alt, dtype=float)
     out = np.zeros(lat.shape)
     for blob in blobs:
-        dh = _arc_distance(lat, lon, blob.center.lat_deg, blob.center.lon_deg)
-        dv = alt - blob.center.alt_m
-        r = np.hypot(dh, dv)
+        c = blob.center
+        r = np.hypot(*_lags(lat, lon, alt, c.lat_deg, c.lon_deg, c.alt_m))
         inside = r < blob.radius_m
         taper = 0.5 * (1.0 + np.cos(np.pi * r / blob.radius_m))
         out = out + np.where(inside, blob.depth_db * taper, 0.0)
@@ -261,10 +258,8 @@ class SyntheticTruth:
         det = trpl_received_power_db(self._cfg, geom)
         det = det + _blob_loss(self.scene.blobs, lat, lon, alt)
         if self._beta is not None:
-            dh = _arc_distance(lat[:, None], lon[:, None],
-                               self._lat[None, :], self._lon[None, :])
-            dv = np.abs(alt[:, None] - self._alt[None, :])
-            det = det + self.scene.corr.covariance_at(dh, dv) @ self._beta
+            lags = _cross_lags(lat, lon, alt, self._lat, self._lon, self._alt)
+            det = det + self.scene.corr.covariance_at(*lags) @ self._beta
         return float(det[0]) if scalar else det
 
     def at_points(self, points):

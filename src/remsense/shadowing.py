@@ -18,7 +18,7 @@ import numpy as np
 from scipy import optimize
 
 from .errors import DegenerateLink, FitDiverged, InsufficientData, RangeError
-from .geo import GeoPoint, _arc_distance, link_geometry_batch
+from .geo import GeoPoint, _lags, link_geometry_batch
 from .propagation import (
     PropagationConfig,
     calibrated_received_power_db,
@@ -171,9 +171,7 @@ class CorrelationModel:
 
 
 def _pair_lags(a: GeoPoint, b: GeoPoint):
-    dh = float(_arc_distance(a.lat_deg, a.lon_deg, b.lat_deg, b.lon_deg))
-    dv = abs(a.alt_m - b.alt_m)
-    return dh, dv
+    return _lags(a.lat_deg, a.lon_deg, a.alt_m, b.lat_deg, b.lon_deg, b.alt_m)
 
 
 def correlation(model: CorrelationModel, a: GeoPoint, b: GeoPoint) -> float:
@@ -313,8 +311,7 @@ def empirical_correlation(sf, dh_edges=None, dv_edges=None,
     zc = s.z - mean_z
 
     i, j, total = _pair_indices(len(s), max_pairs)
-    dh = _arc_distance(s.lat[i], s.lon[i], s.lat[j], s.lon[j])
-    dv = np.abs(s.alt[i] - s.alt[j])
+    dh, dv = _lags(s.lat[i], s.lon[i], s.alt[i], s.lat[j], s.lon[j], s.alt[j])
     zz = zc[i] * zc[j]
 
     ih = np.searchsorted(dh_edges, dh, side="right") - 1

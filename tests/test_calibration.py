@@ -218,3 +218,13 @@ def test_delta_csv_parse_errors(tmp_path):
     )
     with pytest.raises(rs.ParseError):
         read_delta_csv(p)
+
+    # four rows, but (135, -45) twice and (135, 45) never
+    p.write_text(
+        "az_deg,el_deg,gain_dbi,support\n"
+        "45.0,-45.0,1.0,30\n45.0,45.0,1.0,30\n135.0,-45.0,1.0,30\n"
+        "135.0,-45.0,2.0,30\n"
+    )
+    with pytest.raises(rs.ParseError, match="repeats an earlier row") as exc:
+        read_delta_csv(p)
+    assert exc.value.line == 5

@@ -307,11 +307,15 @@ def test_sweep_axis_and_csv(work, tmp_path, capsys):
 def test_reconstruct_unknown_method_exits_before_reading(work, tmp_path,
                                                          capsys):
     out = tmp_path / "grid.csv"
-    assert main(["reconstruct", "--measurements", str(tmp_path / "none.csv"),
-                 "--config", str(work / "config.json"), "--out", str(out),
-                 "--method", "IDW"]) == 2
-    assert "method must be one of" in capsys.readouterr().err
-    assert not out.exists()
+    for extra, message in ((["--method", "IDW"], "method must be one of"),
+                           (["--spacing", "0"], "spacing must be positive"),
+                           (["--spacing", "-5"], "spacing must be positive")):
+        assert main(["reconstruct", "--measurements",
+                     str(tmp_path / "none.csv"), "--config",
+                     str(work / "config.json"), "--out", str(out)]
+                    + extra) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_eval_test_row_on_station_exits_3(work, tmp_path, capsys):

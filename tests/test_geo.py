@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import remsense as rs
-from remsense.geo import from_local_xy, to_local_xy
+from remsense.geo import _cross_lags, _lags, from_local_xy, to_local_xy
 
 from conftest import east_of, offset_point
 
@@ -79,6 +79,41 @@ class TestVerticalDistance:
         a = rs.GeoPoint(0.0, 0.0, 42.0)
         b = rs.GeoPoint(1.0, 1.0, 42.0)
         assert rs.vertical_distance(a, b) == 0.0
+
+
+class TestLags:
+    @staticmethod
+    def _columns(seed, n):
+        rng = np.random.default_rng(seed)
+        return (35.72 + 0.01 * rng.random(n), -78.70 + 0.01 * rng.random(n),
+                120.0 * rng.random(n))
+
+    def test_pairwise_matches_point_distances(self):
+        a, b = self._columns(0, 12), self._columns(1, 12)
+        d_h, d_v = _lags(*a, *b)
+        for k, (pa, pb) in enumerate(zip(zip(*a), zip(*b))):
+            pa, pb = rs.GeoPoint(*pa), rs.GeoPoint(*pb)
+            assert d_h[k] == pytest.approx(rs.horizontal_distance(pa, pb),
+                                           rel=1e-12)
+            assert d_v[k] == rs.vertical_distance(pa, pb)
+
+    def test_cross_shape_and_entries(self):
+        a, b = self._columns(2, 5), self._columns(3, 7)
+        d_h, d_v = _cross_lags(*a, *b)
+        assert d_h.shape == d_v.shape == (5, 7)
+        for i in range(5):
+            for j in range(7):
+                pa = rs.GeoPoint(*(c[i] for c in a))
+                pb = rs.GeoPoint(*(c[j] for c in b))
+                assert d_h[i, j] == pytest.approx(
+                    rs.horizontal_distance(pa, pb), rel=1e-12)
+                assert d_v[i, j] == rs.vertical_distance(pa, pb)
+
+    def test_swapped_arguments_give_the_transpose(self):
+        a, b = self._columns(4, 9), self._columns(5, 6)
+        ab, ba = _cross_lags(*a, *b), _cross_lags(*b, *a)
+        for m_ab, m_ba in zip(ab, ba):
+            assert m_ab.tobytes() == np.ascontiguousarray(m_ba.T).tobytes()
 
 
 class TestLinkGeometry:
