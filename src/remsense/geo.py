@@ -29,6 +29,10 @@ import numpy as np
 from .errors import DegenerateLink, RangeError
 
 EARTH_RADIUS_M = 6_371_000.0
+# float64 values in one block of a dense kernel: 2**20, 8 MB
+_BLOCK_ELEMENTS = 1 << 20
+# every block but the last holds a whole multiple of this many items
+_BLOCK_ALIGN = 24
 
 
 @dataclass(frozen=True)
@@ -53,6 +57,21 @@ def _point_columns(points):
     """``(lat, lon, alt)`` arrays of a sequence of :class:`GeoPoint`."""
     return tuple(np.array([getattr(p, name) for p in points], dtype=float)
                  for name in ("lat_deg", "lon_deg", "alt_m"))
+
+
+def _target_columns(lat, lon, alt):
+    """``(lat, lon, alt)`` as 1-D float arrays of one length.
+
+    A scalar becomes a one-element column.  Raises ``ValueError``
+    naming each column's shape when the columns are not 1-D or not of
+    equal length, instead of letting numpy broadcast them.
+    """
+    cols = [np.atleast_1d(np.asarray(c, dtype=float)) for c in (lat, lon, alt)]
+    if {c.shape for c in cols} != {(cols[0].size,)}:
+        raise ValueError("target columns must be 1-D and of equal length, got "
+                         + ", ".join(f"{name} {c.shape}" for name, c
+                                     in zip(("lat", "lon", "alt"), cols)))
+    return cols
 
 
 def _check_location(lat, lon, alt, where=""):
@@ -145,6 +164,41 @@ def _cross_lags(lat1, lon1, alt1, lat2, lon2, alt2):
     """
     return _lags(lat1[:, None], lon1[:, None], alt1[:, None],
                  lat2[None, :], lon2[None, :], alt2[None, :])
+
+
+def _lag_kernel(cov_at, lat, lon, alt):
+    """``cov_at(d_h, d_v)`` between every two points of 1-D columns.
+
+    The n x n result is allocated once, in Fortran order, and filled one
+    block of columns at a time, so no other array of its size exists
+    and LAPACK can factorize it in place.  Each block is computed as
+    rows and stored transposed, which :func:`_lags` allows: swapping
+    its two points gives the same bits.
+    """
+    n = len(lat)
+    out = np.empty((n, n), order="F")
+    for b in _blocks(n, n):
+        out[:, b] = cov_at(*_cross_lags(lat[b], lon[b], alt[b], lat, lon, alt)).T
+    return out
+
+
+def _blocks(n: int, width: int):
+    """Consecutive slices covering ``range(n)``, in order.
+
+    A block holds about ``_BLOCK_ELEMENTS // width`` items, so a block
+    of items times ``width`` float64 values stays near 8 MB whatever
+    ``n`` is.  Its length is rounded down to a whole multiple of
+    ``_BLOCK_ALIGN`` (24) items, and is never below that.  BLAS kernels
+    take the columns of a matrix-vector product or a triangular solve
+    in groups (4, 8 or 12 in single-threaded OpenBLAS on AVX2); blocks
+    whose lengths are multiples of 24 keep every group whole, so a
+    blocked product or solve gives the same bits as one call over all
+    the items.
+    """
+    step = _BLOCK_ELEMENTS // max(1, width) // _BLOCK_ALIGN * _BLOCK_ALIGN
+    step = max(_BLOCK_ALIGN, step)
+    for start in range(0, n, step):
+        yield slice(start, min(start + step, n))
 
 
 def _bearing_deg(lat1, lon1, lat2, lon2):

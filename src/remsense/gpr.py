@@ -11,9 +11,13 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import linalg
 
-from .errors import DuplicateLocations, InsufficientData, SingularSystem
-from .geo import GeoPoint, _cross_lags
+from .errors import (DuplicateLocations, InsufficientData, SingularSystem,
+                     TooManyPoints)
+from .geo import GeoPoint, _blocks, _cross_lags, _lag_kernel, _target_columns
 from .shadowing import CorrelationModel, SampleSet, empirical_correlation
+
+# a fit holds one n x n float64 kernel, 8 n^2 bytes: 1.15 GB at this bound
+MAX_FIT_POINTS = 12_000
 
 
 @dataclass
@@ -37,16 +41,17 @@ class GprModel:
         return self.sigma_y**2 + self.sigma_gp**2
 
 
-def _latent_cov(corr: CorrelationModel, sigma_y, lat1, lon1, alt1,
-                lat2, lon2, alt2):
-    """Latent covariance from every point of columns 1 to every point of 2."""
-    lags = _cross_lags(lat1, lon1, alt1, lat2, lon2, alt2)
-    return sigma_y**2 * corr.correlation_at(*lags)
+def _latent_cov(corr: CorrelationModel, sigma_y):
+    """Latent covariance as a function of the lags ``(d_h, d_v)``."""
+    return lambda d_h, d_v: sigma_y**2 * corr.correlation_at(d_h, d_v)
 
 
 def gpr_fit(samples, corr: CorrelationModel, sigma_y: float,
             sigma_gp: float) -> GprModel:
     """Factorize the training covariance and precompute the mean solve.
+
+    The n x n kernel is allocated once, filled in column blocks and
+    factorized in place, so the fit peaks at about 8 n^2 bytes.
 
     Args:
         samples: residual samples (list of SfSample or a SampleSet).
@@ -58,18 +63,25 @@ def gpr_fit(samples, corr: CorrelationModel, sigma_y: float,
         DuplicateLocations: coincident samples with ``sigma_gp`` = 0,
             which make the kernel matrix exactly singular.
         InsufficientData: empty training set.
+        TooManyPoints: more than ``MAX_FIT_POINTS`` (12,000) samples,
+            whose kernel alone would take over 1.15 GB.
     """
     s = SampleSet.from_samples(samples)
-    if len(s) == 0:
+    n = len(s)
+    if n == 0:
         raise InsufficientData("cannot fit a regressor on zero samples")
+    if n > MAX_FIT_POINTS:
+        raise TooManyPoints(
+            f"{n} samples exceeds the dense GPR bound of {MAX_FIT_POINTS}"
+        )
     if sigma_y < 0 or sigma_gp < 0:
         raise ValueError("standard deviations must be >= 0")
     if sigma_gp == 0.0:
         _check_duplicates(s)
-    k = _latent_cov(corr, sigma_y, s.lat, s.lon, s.alt, s.lat, s.lon, s.alt)
+    k = _lag_kernel(_latent_cov(corr, sigma_y), s.lat, s.lon, s.alt)
     k[np.diag_indices_from(k)] += sigma_gp**2
     try:
-        cho = linalg.cho_factor(k, lower=True)
+        cho = linalg.cho_factor(k, lower=True, overwrite_a=True)
     except linalg.LinAlgError as exc:
         raise SingularSystem(f"kernel matrix not positive definite: {exc}")
     alpha = linalg.cho_solve(cho, s.z)
@@ -94,17 +106,27 @@ def gpr_predict_batch(model: GprModel, lat, lon, alt):
     """Posterior mean and variance at many targets.
 
     Returns ``(z_hat, variance)`` arrays.  Variances are clamped at 0;
-    clamps increment ``model.clamp_events``.
+    clamps increment ``model.clamp_events``.  The kernel to the targets
+    is built one fixed-size block of targets at a time.
+
+    Raises:
+        ValueError: target columns that are not 1-D, not of equal
+            length or not finite.
     """
-    lat = np.atleast_1d(np.asarray(lat, dtype=float))
-    lon = np.atleast_1d(np.asarray(lon, dtype=float))
-    alt = np.atleast_1d(np.asarray(alt, dtype=float))
+    lat, lon, alt = _target_columns(lat, lon, alt)
+    # checked once here rather than by every block's solve, which would
+    # scan the whole n x n factor each time
+    if not all(np.isfinite(c).all() for c in (lat, lon, alt)):
+        raise ValueError("target coordinates must be finite")
     t = model.train
-    k0 = _latent_cov(model.corr, model.sigma_y, t.lat, t.lon, t.alt,
-                     lat, lon, alt)
-    z_hat = k0.T @ model._alpha
-    w = linalg.cho_solve(model._cho, k0)
-    var = model.prior_variance - np.einsum("ij,ij->j", k0, w)
+    cov_at = _latent_cov(model.corr, model.sigma_y)
+    z_hat = np.empty(lat.size)
+    var = np.empty(lat.size)
+    for b in _blocks(lat.size, len(t)):
+        k0 = cov_at(*_cross_lags(t.lat, t.lon, t.alt, lat[b], lon[b], alt[b]))
+        z_hat[b] = k0.T @ model._alpha
+        w = linalg.cho_solve(model._cho, k0, check_finite=False)
+        var[b] = model.prior_variance - np.einsum("ij,ij->j", k0, w)
     below = var < 0.0
     if np.any(below):
         model.clamp_events += int(np.count_nonzero(below))

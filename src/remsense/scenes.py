@@ -13,10 +13,12 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
+from scipy import linalg
 
 from .calibration import CalibratedDelta
 from .errors import ParseError, RangeError, TooManyPoints
-from .geo import (GeoPoint, _cross_lags, _lags, _point_columns, from_local_xy,
+from .geo import (GeoPoint, _blocks, _cross_lags, _lag_kernel, _lags,
+                  _point_columns, _target_columns, from_local_xy,
                   link_geometry_batch, to_local_xy)
 from .patterns import OffsetPattern, pattern_from_dict, pattern_to_dict
 from .propagation import PropagationConfig, trpl_received_power_db
@@ -155,13 +157,24 @@ def stack_altitudes(traj: Trajectory, altitudes) -> Trajectory:
     return Trajectory(tuple(wps), traj.kind, traj.sample_spacing_m)
 
 
+def _field_covariance(corr: CorrelationModel, lat, lon, alt):
+    """Covariance between every two field points, with the diagonal lift.
+
+    Built in blocks, in Fortran order, ready to be decomposed in place.
+    """
+    cov = _lag_kernel(corr.covariance_at, lat, lon, alt)
+    cov[np.diag_indices_from(cov)] += _DIAG_LIFT
+    return cov
+
+
 class CorrelatedFieldSampler:
     """Gaussian field sampler over a fixed point set.
 
     The covariance is factorized once (symmetric square root via an
     eigendecomposition, with a small diagonal lift); every ``draw`` then
     costs one matrix-vector product, so many seeds over the same points
-    are cheap.
+    are cheap.  The covariance is built in blocks and decomposed in
+    place, so the sampler holds one n x n matrix, its root.
     """
 
     def __init__(self, lat, lon, alt, corr: CorrelationModel):
@@ -178,12 +191,11 @@ class CorrelatedFieldSampler:
                 f"{self.n} points exceeds the dense factorization bound "
                 f"of {MAX_FIELD_POINTS}"
             )
-        cov = corr.covariance_at(*_cross_lags(lat, lon, alt, lat, lon, alt))
-        cov[np.diag_indices_from(cov)] += _DIAG_LIFT
-        eigval, eigvec = np.linalg.eigh(cov)
+        eigval, eigvec = linalg.eigh(_field_covariance(corr, lat, lon, alt),
+                                     overwrite_a=True, driver="evd")
         eigval = np.clip(eigval, 0.0, None)
-        self._root = eigvec * np.sqrt(eigval)
-        self._cov = cov
+        # a C-ordered root keeps the summation order of draw's product
+        self._root = np.multiply(eigvec, np.sqrt(eigval), order="C")
 
     def draw(self, seed) -> np.ndarray:
         """One zero-mean realization, deterministic per seed."""
@@ -241,25 +253,37 @@ class SyntheticTruth:
         self._lon = lon
         self._alt = alt
         self.sf = sf
-        if sampler._root is None:
-            self._beta = None
-        else:
-            self._beta = np.linalg.solve(sampler._cov, sf)
+        self._field_corr = None if sampler._root is None else sampler.corr
+        self._beta = None
+
+    def _weights(self):
+        """``cov^-1 sf``, solved at the first query; ``synth`` makes none."""
+        if self._beta is None:
+            cov = _field_covariance(self._field_corr, self._lat, self._lon,
+                                    self._alt)
+            self._beta = np.linalg.solve(cov, self.sf)
+        return self._beta
 
     def at(self, lat, lon, alt):
-        """Truth received power (dBm) at arbitrary coordinates."""
+        """Truth received power (dBm) at arbitrary coordinates.
+
+        The conditional mean is evaluated one block of targets at a
+        time.  Raises ``ValueError`` for coordinate columns that are not
+        1-D or not of equal length.
+        """
         scalar = np.isscalar(lat)
-        lat = np.atleast_1d(np.asarray(lat, dtype=float))
-        lon = np.atleast_1d(np.asarray(lon, dtype=float))
-        alt = np.atleast_1d(np.asarray(alt, dtype=float))
+        lat, lon, alt = _target_columns(lat, lon, alt)
         geom, valid = link_geometry_batch(
             self.scene.gs, lat, lon, alt, self._cfg.wavelength_m
         )
         det = trpl_received_power_db(self._cfg, geom)
         det = det + _blob_loss(self.scene.blobs, lat, lon, alt)
-        if self._beta is not None:
-            lags = _cross_lags(lat, lon, alt, self._lat, self._lon, self._alt)
-            det = det + self.scene.corr.covariance_at(*lags) @ self._beta
+        if self._field_corr is not None:
+            beta = self._weights()
+            for b in _blocks(lat.size, len(self._lat)):
+                lags = _cross_lags(lat[b], lon[b], alt[b],
+                                   self._lat, self._lon, self._alt)
+                det[b] += self.scene.corr.covariance_at(*lags) @ beta
         return float(det[0]) if scalar else det
 
     def at_points(self, points):

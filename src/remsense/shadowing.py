@@ -18,7 +18,7 @@ import numpy as np
 from scipy import optimize
 
 from .errors import DegenerateLink, FitDiverged, InsufficientData, RangeError
-from .geo import GeoPoint, _lags, link_geometry_batch
+from .geo import GeoPoint, _blocks, _lags, link_geometry_batch
 from .propagation import (
     PropagationConfig,
     calibrated_received_power_db,
@@ -267,25 +267,20 @@ class CorrelationTable:
         return 0.5 * (self.dv_edges[:-1] + self.dv_edges[1:])
 
 
-def _pair_indices(n: int, max_pairs: int):
-    """Deterministic subsample of the i<j pair enumeration.
+def _pair_blocks(n: int, stride: int, used: int):
+    """The first ``used`` pairs i<j of every ``stride``-th in row-major order.
 
-    Returns (i, j) index arrays covering every pair when the total fits
-    under ``max_pairs``, otherwise a fixed-stride thinning of the
-    row-major pair order.
+    Yields ``(i, j)`` index arrays, one fixed-size block of pairs at a
+    time, in row-major order.
     """
-    total = n * (n - 1) // 2
-    if total <= max_pairs:
-        i, j = np.triu_indices(n, k=1)
-        return i, j, total
-    stride = int(np.ceil(total / max_pairs))
-    k = np.arange(0, total, stride, dtype=np.int64)
     # first linear index of row i is i*n - i*(i+1)/2
     rows = np.arange(n - 1, dtype=np.int64)
     row_start = rows * n - rows * (rows + 1) // 2
-    i = np.searchsorted(row_start, k, side="right") - 1
-    j = i + 1 + (k - row_start[i])
-    return i, j, total
+    # about 16 arrays the length of a block are alive at once
+    for b in _blocks(used, 16):
+        k = np.arange(b.start, b.stop, dtype=np.int64) * stride
+        i = np.searchsorted(row_start, k, side="right") - 1
+        yield i, i + 1 + (k - row_start[i])
 
 
 def empirical_correlation(sf, dh_edges=None, dv_edges=None,
@@ -294,7 +289,8 @@ def empirical_correlation(sf, dh_edges=None, dv_edges=None,
 
     Pairs beyond the last bin edge are discarded.  When the pair count
     exceeds ``max_pairs`` a deterministic stride subsample is used, so
-    repeated runs agree bit for bit.
+    repeated runs agree bit for bit.  Pairs are binned one fixed-size
+    block at a time and summed in pair order.
 
     Raises:
         InsufficientData: fewer than two samples, or zero variance.
@@ -310,22 +306,27 @@ def empirical_correlation(sf, dh_edges=None, dv_edges=None,
     mean_z = float(np.mean(s.z))
     zc = s.z - mean_z
 
-    i, j, total = _pair_indices(len(s), max_pairs)
-    dh, dv = _lags(s.lat[i], s.lon[i], s.alt[i], s.lat[j], s.lon[j], s.alt[j])
-    zz = zc[i] * zc[j]
+    # every pair, or a fixed-stride thinning of them above max_pairs
+    total = len(s) * (len(s) - 1) // 2
+    stride = 1 if total <= max_pairs else int(np.ceil(total / max_pairs))
+    used = -(-total // stride)
 
-    ih = np.searchsorted(dh_edges, dh, side="right") - 1
-    iv = np.searchsorted(dv_edges, dv, side="right") - 1
-    ok = (
-        (ih >= 0) & (ih < len(dh_edges) - 1)
-        & (iv >= 0) & (iv < len(dv_edges) - 1)
-        & (dh < dh_edges[-1]) & (dv < dv_edges[-1])
-    )
     n_dh = len(dh_edges) - 1
     n_dv = len(dv_edges) - 1
-    flat = ih[ok] * n_dv + iv[ok]
-    sums = np.bincount(flat, weights=zz[ok], minlength=n_dh * n_dv)
-    counts = np.bincount(flat, minlength=n_dh * n_dv)
+    sums = np.zeros(n_dh * n_dv)
+    counts = np.zeros(n_dh * n_dv, dtype=np.int64)
+    for i, j in _pair_blocks(len(s), stride, used):
+        dh, dv = _lags(s.lat[i], s.lon[i], s.alt[i], s.lat[j], s.lon[j], s.alt[j])
+        ih = np.searchsorted(dh_edges, dh, side="right") - 1
+        iv = np.searchsorted(dv_edges, dv, side="right") - 1
+        ok = (
+            (ih >= 0) & (ih < n_dh) & (iv >= 0) & (iv < n_dv)
+            & (dh < dh_edges[-1]) & (dv < dv_edges[-1])
+        )
+        flat = ih[ok] * n_dv + iv[ok]
+        # one running sum per bin, in pair order, as across one array
+        np.add.at(sums, flat, zc[i[ok]] * zc[j[ok]])
+        counts += np.bincount(flat, minlength=n_dh * n_dv)
     with np.errstate(invalid="ignore"):
         value = np.where(counts > 0, sums / np.maximum(counts, 1) / sigma**2, np.nan)
     return CorrelationTable(
@@ -336,7 +337,7 @@ def empirical_correlation(sf, dh_edges=None, dv_edges=None,
         sigma=sigma,
         mean_z=mean_z,
         n_pairs_total=total,
-        n_pairs_used=int(len(i)),
+        n_pairs_used=used,
     )
 
 

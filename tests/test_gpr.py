@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import remsense as rs
+from remsense import geo, gpr
 from remsense.geo import _arc_distance
 from remsense.gpr import (
     estimate_hyperparameters,
@@ -151,6 +154,65 @@ def test_single_point_variance_hits_upper_range():
     assert var > 1.0
 
 
+# ------------------------------------------------------------ blocked kernels
+
+def test_blocks_do_not_change_fit_or_prediction(monkeypatch):
+    pts = uniform_points(150, 400.0, seed=40)
+    z = field_of(pts, CORR, 2.0, seed=40)
+    grid = [offset_point(GS, 20.0 + 23.0 * (k % 16), 25.0 + 27.0 * (k // 16),
+                         60.0) for k in range(110)]
+    # training locations too: with no noise their variances round to
+    # either side of 0, so some are clamped
+    targets = coords(pts + grid)
+
+    def fit_and_predict():
+        m = gpr_fit(samples_of(pts, z), CORR, sigma_y=2.0, sigma_gp=0.0)
+        zh, var = gpr_predict_batch(m, *targets)
+        return m, zh, var
+
+    m1, zh1, var1 = fit_and_predict()
+    # 24 items per block: 7 column blocks of the kernel, 11 target blocks
+    monkeypatch.setattr(geo, "_BLOCK_ELEMENTS", 1)
+    m2, zh2, var2 = fit_and_predict()
+    assert np.array_equal(m1._cho[0], m2._cho[0])
+    assert np.array_equal(m1._alpha, m2._alpha)
+    assert np.array_equal(zh1, zh2)
+    assert np.array_equal(var1, var2)
+    assert m1.clamp_events == m2.clamp_events > 0
+
+
+def test_predict_memory_does_not_grow_with_targets():
+    rng = np.random.default_rng(41)
+    n, t = 600, 8000
+    train = rs.SampleSet(GS.lat_deg + rng.uniform(0.001, 0.005, n),
+                         GS.lon_deg + rng.uniform(0.001, 0.005, n),
+                         np.full(n, 60.0), rng.standard_normal(n))
+    m = gpr_fit(train, CORR, sigma_y=2.0, sigma_gp=1.0)
+    lat = GS.lat_deg + rng.uniform(0.001, 0.005, t)
+    lon = GS.lon_deg + rng.uniform(0.001, 0.005, t)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        gpr_predict_batch(m, lat, lon, np.full(t, 60.0))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    # one 600 x 8000 cross-kernel is 37 MB, and building it whole peaked
+    # at 220 MB; blocks of 2**20 values keep about eight 8 MB temporaries
+    assert peak < 96 * 2**20
+
+
+def test_predict_rejects_ragged_targets():
+    m = gpr_fit(samples_of(uniform_points(5, 100.0, seed=42), np.ones(5)),
+                CORR, sigma_y=2.0, sigma_gp=0.5)
+    with pytest.raises(ValueError, match=r"lat \(3,\), lon \(1,\), alt \(1,\)"):
+        gpr_predict_batch(m, [35.7, 35.701, 35.7005], [-78.7], [50.0])
+    with pytest.raises(ValueError, match=r"lat \(2, 1\)"):
+        gpr_predict_batch(m, [[35.7], [35.701]], [-78.7, -78.7], [50.0, 50.0])
+    with pytest.raises(ValueError, match="finite"):
+        gpr_predict_batch(m, [35.7, np.nan], [-78.7, -78.7], [50.0, 50.0])
+
+
 # ------------------------------------------------------------------ errors
 
 def test_duplicate_locations_rejected_without_noise():
@@ -172,7 +234,7 @@ def test_zero_kernel_is_singular():
         gpr_fit(samples_of(pts, np.ones(4)), CORR, sigma_y=0.0, sigma_gp=0.0)
 
 
-def test_fit_input_validation():
+def test_fit_input_validation(monkeypatch):
     with pytest.raises(rs.InsufficientData):
         gpr_fit([], CORR, sigma_y=1.0, sigma_gp=1.0)
     pts = uniform_points(3, 100.0, seed=37)
@@ -181,6 +243,11 @@ def test_fit_input_validation():
         gpr_fit(sf, CORR, sigma_y=-1.0, sigma_gp=1.0)
     with pytest.raises(ValueError):
         gpr_fit(sf, CORR, sigma_y=1.0, sigma_gp=-0.1)
+    # the dense-kernel bound, lowered so that no large kernel is built
+    monkeypatch.setattr(gpr, "MAX_FIT_POINTS", 2)
+    with pytest.raises(rs.TooManyPoints, match="3 samples"):
+        gpr_fit(sf, CORR, sigma_y=1.0, sigma_gp=1.0)
+    assert len(gpr_fit(sf[:2], CORR, sigma_y=1.0, sigma_gp=1.0).train) == 2
 
 
 # ------------------------------------------------------- hyperparameters

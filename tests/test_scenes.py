@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 import remsense as rs
+from remsense import geo
 from remsense.geo import horizontal_distance
 from remsense.scenes import (
     Blob,
+    CorrelatedFieldSampler,
     SceneSpec,
     custom_trajectory,
     generate_campaign,
@@ -147,6 +149,30 @@ def test_truth_consistent_with_measurements():
     assert truth.at(p.lat_deg, p.lon_deg, p.alt_m) == pytest.approx(
         rsrp[3], abs=1e-6
     )
+    # ragged coordinate columns are not broadcast
+    with pytest.raises(ValueError, match=r"lat \(3,\), lon \(1,\), alt \(1,\)"):
+        truth.at([p.lat_deg] * 3, [p.lon_deg], [p.alt_m])
+
+
+def test_blocks_do_not_change_field_or_truth(monkeypatch):
+    scene = SceneSpec(gs=GS, cfg=PROP, corr=CORR, noise_sd=0.5, seed=12)
+    traj = lawnmower_trajectory(BASE, 300.0, 200.0, n_rows=4, alt_m=60.0,
+                                sample_spacing_m=8.0)
+    lat, lon, alt = geo._point_columns(traj.waypoints)
+    q = [offset_point(BASE, 7.0 * k, 150.0 - 3.0 * k, 40.0 + k)
+         for k in range(50)]
+
+    def field_and_truth():
+        sampler = CorrelatedFieldSampler(lat, lon, alt, CORR)
+        meas, truth = generate_campaign(scene, traj)
+        return sampler.draw(5), meas.rsrp, truth.at_points(q)
+
+    default = field_and_truth()
+    # 24 items per block: the waypoints and the queries span several
+    monkeypatch.setattr(geo, "_BLOCK_ELEMENTS", 1)
+    assert len(lat) > 4 * 24
+    for a, b in zip(default, field_and_truth()):
+        assert np.array_equal(a, b)
 
 
 def test_campaign_rejects_station_waypoint():

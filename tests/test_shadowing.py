@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import remsense as rs
+from remsense import geo
 from remsense.geo import link_geometry, _arc_distance
 from remsense.gpr import gpr_fit
 from remsense.kriging import KrigingConfig, ok_predict
@@ -218,6 +219,22 @@ def test_empirical_pair_subsampling_deterministic():
     assert a.n_pairs_used == b.n_pairs_used
     np.testing.assert_array_equal(a.count, b.count)
     np.testing.assert_array_equal(a.value, b.value)
+
+
+@pytest.mark.parametrize("max_pairs", [2_000_000, 1000])
+def test_empirical_blocks_do_not_change_table(monkeypatch, max_pairs):
+    rng = np.random.default_rng(24)
+    pts = grid_points(20, 10, 25.0, 25.0, 60.0) + grid_points(
+        5, 5, 40.0, 40.0, 75.0)
+    sf = sample_set(pts, rng.standard_normal(len(pts)))
+    a = empirical_correlation(sf, max_pairs=max_pairs)
+    # 24 pairs per block
+    monkeypatch.setattr(geo, "_BLOCK_ELEMENTS", 1)
+    b = empirical_correlation(sf, max_pairs=max_pairs)
+    assert a.n_pairs_used > 24
+    assert (a.n_pairs_used, a.n_pairs_total) == (b.n_pairs_used, b.n_pairs_total)
+    assert np.array_equal(a.count, b.count)
+    assert np.array_equal(a.value, b.value, equal_nan=True)
 
 
 def test_empirical_insufficient_and_degenerate():
