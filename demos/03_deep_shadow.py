@@ -12,7 +12,7 @@ import numpy as np
 import remsense as rs
 from remsense.completion import McAssistedGpr, McConfig
 from remsense.geo import horizontal_distance
-from remsense.gpr import gpr_fit, gpr_predict_batch
+from remsense.gpr import gpr_fit, gpr_predict_mean
 from remsense.shadowing import extract_sf
 
 GS = rs.GeoPoint(35.72, -78.70, 10.0)
@@ -65,7 +65,7 @@ near = np.array([
     for s in sf
 ])
 held = sf[~mask & near]
-z_gpr, _ = gpr_predict_batch(model, held.lat, held.lon, held.alt)
+z_gpr = gpr_predict_mean(model, held.lat, held.lon, held.alt)
 z_mc = pipe.predict(held.lat, held.lon)
 rmse_gpr = float(np.sqrt(np.mean((z_gpr - held.z) ** 2)))
 rmse_mc = float(np.sqrt(np.mean((z_mc - held.z) ** 2)))

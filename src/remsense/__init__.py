@@ -70,6 +70,7 @@ from .gpr import (
     gpr_fit,
     gpr_predict,
     gpr_predict_batch,
+    gpr_predict_mean,
 )
 from .kriging import (
     KrigingConfig,
@@ -155,7 +156,7 @@ __all__ = [
     "estimate_a_uav", "estimate_effective_pattern",
     "estimate_hyperparameters", "estimate_sigma", "extract_sf",
     "fit_correlation_model", "gain_at", "generate_campaign", "gpr_fit",
-    "gpr_predict", "gpr_predict_batch", "gpr_to_grid",
+    "gpr_predict", "gpr_predict_batch", "gpr_predict_mean", "gpr_to_grid",
     "horizontal_distance", "ingest_measurements", "isotropic_pattern",
     "lawnmower_trajectory", "link_geometry", "link_geometry_batch",
     "mc_assisted_predict", "monte_carlo_eval", "normal_score",

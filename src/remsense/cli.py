@@ -32,7 +32,7 @@ from .evaluation import (
     sweep,
 )
 from .geo import GeoPoint
-from .gpr import gpr_fit, gpr_predict_batch
+from .gpr import gpr_fit, gpr_predict_mean
 from .kriging import KrigingConfig, predict as kriging_predict
 from .scenes import (
     _corr_from_dict,
@@ -188,7 +188,7 @@ def _cmd_reconstruct(args):
         if method in ("GPR", "MC_GPR"):
             model = gpr_fit(samples, fit.corr, fit.sigma_y, fit.sigma_gp)
             if method == "GPR":
-                z_hat, _ = gpr_predict_batch(model, lat_q, lon_q, alt_q)
+                z_hat = gpr_predict_mean(model, lat_q, lon_q, alt_q)
             else:
                 pipeline = McAssistedGpr(model, _mc_from_dict(doc.get("mc", {})))
                 z_hat = pipeline.predict(lat_q, lon_q)

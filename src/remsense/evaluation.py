@@ -30,7 +30,7 @@ from .errors import (
     _read_csv_rows,
 )
 from .geo import GeoPoint, _check_location, _cross_lags
-from .gpr import estimate_hyperparameters, gpr_fit, gpr_predict_batch
+from .gpr import estimate_hyperparameters, gpr_fit, gpr_predict_mean
 from .kriging import (
     NormalScoreTransform,
     normal_score,
@@ -375,11 +375,8 @@ def _residuals_gpr(cfg, fit, data, s_idx, z_m, t_idx, counters):
     train = SampleSet(data.lat[s_idx], data.lon[s_idx], data.alt[s_idx], z_m)
     model = gpr_fit(train, fit.corr, fit.sigma_y, fit.sigma_gp)
     if cfg.method == "GPR":
-        z_hat, _var = gpr_predict_batch(
-            model, data.lat[t_idx], data.lon[t_idx], data.alt[t_idx]
-        )
-        counters["variance_clamps"] += model.clamp_events
-        return z_hat
+        return gpr_predict_mean(model, data.lat[t_idx], data.lon[t_idx],
+                                data.alt[t_idx])
     pipeline = McAssistedGpr(model, cfg.mc)
     counters["variance_clamps"] += model.clamp_events
     if not pipeline.mc.converged:

@@ -60,17 +60,20 @@ def _point_columns(points):
 
 
 def _target_columns(lat, lon, alt):
-    """``(lat, lon, alt)`` as 1-D float arrays of one length.
+    """``(lat, lon, alt)`` as finite 1-D float arrays of one length.
 
     A scalar becomes a one-element column.  Raises ``ValueError``
     naming each column's shape when the columns are not 1-D or not of
-    equal length, instead of letting numpy broadcast them.
+    equal length, instead of letting numpy broadcast them, and when a
+    coordinate is not finite.
     """
     cols = [np.atleast_1d(np.asarray(c, dtype=float)) for c in (lat, lon, alt)]
     if {c.shape for c in cols} != {(cols[0].size,)}:
         raise ValueError("target columns must be 1-D and of equal length, got "
                          + ", ".join(f"{name} {c.shape}" for name, c
                                      in zip(("lat", "lon", "alt"), cols)))
+    if not all(np.isfinite(c).all() for c in cols):
+        raise ValueError("target coordinates must be finite")
     return cols
 
 

@@ -63,6 +63,8 @@ def gpr_fit(samples, corr: CorrelationModel, sigma_y: float,
         DuplicateLocations: coincident samples with ``sigma_gp`` = 0,
             which make the kernel matrix exactly singular.
         InsufficientData: empty training set.
+        ValueError: negative standard deviations, or samples, standard
+            deviations or correlation parameters that are not finite.
         TooManyPoints: more than ``MAX_FIT_POINTS`` (12,000) samples,
             whose kernel alone would take over 1.15 GB.
     """
@@ -76,15 +78,21 @@ def gpr_fit(samples, corr: CorrelationModel, sigma_y: float,
         )
     if sigma_y < 0 or sigma_gp < 0:
         raise ValueError("standard deviations must be >= 0")
+    # finite inputs make a finite kernel, so neither LAPACK call scans it
+    params = (sigma_y, sigma_gp, corr.a, corr.p1, corr.p2, corr.q)
+    if not (np.isfinite(params).all()
+            and all(np.isfinite(c).all() for c in (s.lat, s.lon, s.alt, s.z))):
+        raise ValueError("samples, sigmas and correlation must be finite")
     if sigma_gp == 0.0:
         _check_duplicates(s)
     k = _lag_kernel(_latent_cov(corr, sigma_y), s.lat, s.lon, s.alt)
     k[np.diag_indices_from(k)] += sigma_gp**2
     try:
-        cho = linalg.cho_factor(k, lower=True, overwrite_a=True)
+        cho = linalg.cho_factor(k, lower=True, overwrite_a=True,
+                                check_finite=False)
     except linalg.LinAlgError as exc:
         raise SingularSystem(f"kernel matrix not positive definite: {exc}")
-    alpha = linalg.cho_solve(cho, s.z)
+    alpha = linalg.cho_solve(cho, s.z, check_finite=False)
     return GprModel(train=s, corr=corr, sigma_y=float(sigma_y),
                     sigma_gp=float(sigma_gp), _cho=cho, _alpha=alpha)
 
@@ -102,28 +110,43 @@ def _check_duplicates(s: SampleSet):
         )
 
 
+def _cross_cov_blocks(model: GprModel, lat, lon, alt):
+    """``(block, k0)`` over fixed-size blocks of checked target columns;
+    ``k0`` is the latent covariance from every training row to the
+    block's targets."""
+    t = model.train
+    cov_at = _latent_cov(model.corr, model.sigma_y)
+    for b in _blocks(lat.size, len(t)):
+        yield b, cov_at(*_cross_lags(t.lat, t.lon, t.alt, lat[b], lon[b], alt[b]))
+
+
+def gpr_predict_mean(model: GprModel, lat, lon, alt) -> np.ndarray:
+    """Posterior mean at many targets: :func:`gpr_predict_batch`'s mean,
+    bit for bit, without the variance's triangular solve against every
+    block of targets, which takes most of that call's time."""
+    lat, lon, alt = _target_columns(lat, lon, alt)
+    z_hat = np.empty(lat.size)
+    for b, k0 in _cross_cov_blocks(model, lat, lon, alt):
+        z_hat[b] = k0.T @ model._alpha
+    return z_hat
+
+
 def gpr_predict_batch(model: GprModel, lat, lon, alt):
     """Posterior mean and variance at many targets.
 
     Returns ``(z_hat, variance)`` arrays.  Variances are clamped at 0;
-    clamps increment ``model.clamp_events``.  The kernel to the targets
-    is built one fixed-size block of targets at a time.
+    clamps increment ``model.clamp_events``.  Targets go in fixed-size
+    blocks; :func:`gpr_predict_mean` is the mean without the variance.
 
     Raises:
         ValueError: target columns that are not 1-D, not of equal
             length or not finite.
     """
+    # checked finite once here, so no block's solve scans the n x n factor
     lat, lon, alt = _target_columns(lat, lon, alt)
-    # checked once here rather than by every block's solve, which would
-    # scan the whole n x n factor each time
-    if not all(np.isfinite(c).all() for c in (lat, lon, alt)):
-        raise ValueError("target coordinates must be finite")
-    t = model.train
-    cov_at = _latent_cov(model.corr, model.sigma_y)
     z_hat = np.empty(lat.size)
     var = np.empty(lat.size)
-    for b in _blocks(lat.size, len(t)):
-        k0 = cov_at(*_cross_lags(t.lat, t.lon, t.alt, lat[b], lon[b], alt[b]))
+    for b, k0 in _cross_cov_blocks(model, lat, lon, alt):
         z_hat[b] = k0.T @ model._alpha
         w = linalg.cho_solve(model._cho, k0, check_finite=False)
         var[b] = model.prior_variance - np.einsum("ij,ij->j", k0, w)
@@ -136,9 +159,7 @@ def gpr_predict_batch(model: GprModel, lat, lon, alt):
 
 def gpr_predict(model: GprModel, target: GeoPoint):
     """Posterior mean and variance at a single location."""
-    z, v = gpr_predict_batch(
-        model, [target.lat_deg], [target.lon_deg], [target.alt_m]
-    )
+    z, v = gpr_predict_batch(model, target.lat_deg, target.lon_deg, target.alt_m)
     return float(z[0]), float(v[0])
 
 

@@ -311,14 +311,15 @@ def predict(samples, model: CorrelationModel, target: GeoPoint,
     trans_gaussian = cfg.variant.startswith("TG_")
     if trans_gaussian and transform is None:
         raise ValueError("TG variants need a normal-score transform")
+    kriged = (model_u or model) if trans_gaussian else model
     try:
-        return _krige(samples, (model_u or model) if trans_gaussian else model,
-                      target, cfg, cfg.variant in ("OK", "TG_OK"),
+        return _krige(samples, kriged, target, cfg,
+                      cfg.variant in ("OK", "TG_OK"),
                       transform if trans_gaussian else None)
     except NoNeighbors:
         return KrigingPrediction(
             z_hat=0.0,
-            mse=model.sigma_z**2,
+            mse=kriged.sigma_z**2,
             neighbors_used=0,
             fallback=True,
         )

@@ -17,12 +17,13 @@ from scipy import linalg
 
 from .calibration import CalibratedDelta
 from .errors import ParseError, RangeError, TooManyPoints
-from .geo import (GeoPoint, _blocks, _cross_lags, _lag_kernel, _lags,
-                  _point_columns, _target_columns, from_local_xy,
-                  link_geometry_batch, to_local_xy)
+from .geo import (GeoPoint, _lag_kernel, _lags, _point_columns,
+                  _target_columns, from_local_xy, link_geometry_batch,
+                  to_local_xy)
+from .gpr import gpr_fit, gpr_predict_mean
 from .patterns import OffsetPattern, pattern_from_dict, pattern_to_dict
 from .propagation import PropagationConfig, trpl_received_power_db
-from .shadowing import Campaign, CorrelationModel
+from .shadowing import Campaign, CorrelationModel, SampleSet
 
 MEASUREMENT_CSV_HEADER = ["seq", "lat_deg", "lon_deg", "alt_m", "rsrp_dbm"]
 MAX_FIELD_POINTS = 5000
@@ -157,16 +158,6 @@ def stack_altitudes(traj: Trajectory, altitudes) -> Trajectory:
     return Trajectory(tuple(wps), traj.kind, traj.sample_spacing_m)
 
 
-def _field_covariance(corr: CorrelationModel, lat, lon, alt):
-    """Covariance between every two field points, with the diagonal lift.
-
-    Built in blocks, in Fortran order, ready to be decomposed in place.
-    """
-    cov = _lag_kernel(corr.covariance_at, lat, lon, alt)
-    cov[np.diag_indices_from(cov)] += _DIAG_LIFT
-    return cov
-
-
 class CorrelatedFieldSampler:
     """Gaussian field sampler over a fixed point set.
 
@@ -178,9 +169,7 @@ class CorrelatedFieldSampler:
     """
 
     def __init__(self, lat, lon, alt, corr: CorrelationModel):
-        lat = np.asarray(lat, dtype=float)
-        lon = np.asarray(lon, dtype=float)
-        alt = np.asarray(alt, dtype=float)
+        lat, lon, alt = _target_columns(lat, lon, alt)
         self.n = len(lat)
         self.corr = corr
         if corr.sigma_z == 0.0:
@@ -191,8 +180,9 @@ class CorrelatedFieldSampler:
                 f"{self.n} points exceeds the dense factorization bound "
                 f"of {MAX_FIELD_POINTS}"
             )
-        eigval, eigvec = linalg.eigh(_field_covariance(corr, lat, lon, alt),
-                                     overwrite_a=True, driver="evd")
+        cov = _lag_kernel(corr.covariance_at, lat, lon, alt)
+        cov[np.diag_indices_from(cov)] += _DIAG_LIFT
+        eigval, eigvec = linalg.eigh(cov, overwrite_a=True, driver="evd")
         eigval = np.clip(eigval, 0.0, None)
         # a C-ordered root keeps the summation order of draw's product
         self._root = np.multiply(eigvec, np.sqrt(eigval), order="C")
@@ -216,9 +206,6 @@ def sample_correlated_field(points, corr: CorrelationModel, seed):
 
 
 def _blob_loss(blobs, lat, lon, alt):
-    lat = np.asarray(lat, dtype=float)
-    lon = np.asarray(lon, dtype=float)
-    alt = np.asarray(alt, dtype=float)
     out = np.zeros(lat.shape)
     for blob in blobs:
         c = blob.center
@@ -242,34 +229,24 @@ class SyntheticTruth:
     At campaign waypoints the stored shadow-fading values are returned;
     elsewhere the field is extended by its conditional mean given the
     stored values (the deterministic and blob parts are exact
-    everywhere).
+    everywhere).  That mean is a :mod:`remsense.gpr` posterior mean,
+    the lift as nugget, fitted at the first query; ``synth`` makes none.
     """
 
     def __init__(self, scene: SceneSpec, sampler: CorrelatedFieldSampler,
                  lat, lon, alt, sf):
         self.scene = scene
         self._cfg = _effective_cfg(scene)
-        self._lat = lat
-        self._lon = lon
-        self._alt = alt
         self.sf = sf
-        self._field_corr = None if sampler._root is None else sampler.corr
-        self._beta = None
-
-    def _weights(self):
-        """``cov^-1 sf``, solved at the first query; ``synth`` makes none."""
-        if self._beta is None:
-            cov = _field_covariance(self._field_corr, self._lat, self._lon,
-                                    self._alt)
-            self._beta = np.linalg.solve(cov, self.sf)
-        return self._beta
+        self._field = (None if sampler._root is None
+                       else SampleSet(lat, lon, alt, sf))
+        self._model = None
 
     def at(self, lat, lon, alt):
         """Truth received power (dBm) at arbitrary coordinates.
 
-        The conditional mean is evaluated one block of targets at a
-        time.  Raises ``ValueError`` for coordinate columns that are not
-        1-D or not of equal length.
+        Raises ``ValueError`` for coordinate columns that are not 1-D,
+        not of equal length or not finite.
         """
         scalar = np.isscalar(lat)
         lat, lon, alt = _target_columns(lat, lon, alt)
@@ -278,12 +255,12 @@ class SyntheticTruth:
         )
         det = trpl_received_power_db(self._cfg, geom)
         det = det + _blob_loss(self.scene.blobs, lat, lon, alt)
-        if self._field_corr is not None:
-            beta = self._weights()
-            for b in _blocks(lat.size, len(self._lat)):
-                lags = _cross_lags(lat[b], lon[b], alt[b],
-                                   self._lat, self._lon, self._alt)
-                det[b] += self.scene.corr.covariance_at(*lags) @ beta
+        if self._field is not None:
+            if self._model is None:
+                corr = self.scene.corr
+                self._model = gpr_fit(self._field, corr, corr.sigma_z,
+                                      np.sqrt(_DIAG_LIFT))
+            det += gpr_predict_mean(self._model, lat, lon, alt)
         return float(det[0]) if scalar else det
 
     def at_points(self, points):

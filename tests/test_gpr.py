@@ -11,6 +11,7 @@ from remsense.gpr import (
     gpr_fit,
     gpr_predict,
     gpr_predict_batch,
+    gpr_predict_mean,
 )
 from remsense.kriging import KrigingConfig, sk_predict
 
@@ -168,16 +169,19 @@ def test_blocks_do_not_change_fit_or_prediction(monkeypatch):
     def fit_and_predict():
         m = gpr_fit(samples_of(pts, z), CORR, sigma_y=2.0, sigma_gp=0.0)
         zh, var = gpr_predict_batch(m, *targets)
-        return m, zh, var
+        return m, zh, var, gpr_predict_mean(m, *targets)
 
-    m1, zh1, var1 = fit_and_predict()
+    m1, zh1, var1, mean1 = fit_and_predict()
+    # the mean alone is the same bits as the mean beside the variance
+    assert np.array_equal(mean1, zh1)
     # 24 items per block: 7 column blocks of the kernel, 11 target blocks
     monkeypatch.setattr(geo, "_BLOCK_ELEMENTS", 1)
-    m2, zh2, var2 = fit_and_predict()
+    m2, zh2, var2, mean2 = fit_and_predict()
     assert np.array_equal(m1._cho[0], m2._cho[0])
     assert np.array_equal(m1._alpha, m2._alpha)
     assert np.array_equal(zh1, zh2)
     assert np.array_equal(var1, var2)
+    assert np.array_equal(mean1, mean2)
     assert m1.clamp_events == m2.clamp_events > 0
 
 
@@ -200,6 +204,27 @@ def test_predict_memory_does_not_grow_with_targets():
     # one 600 x 8000 cross-kernel is 37 MB, and building it whole peaked
     # at 220 MB; blocks of 2**20 values keep about eight 8 MB temporaries
     assert peak < 96 * 2**20
+
+
+def test_fit_memory_is_one_kernel(monkeypatch):
+    rng = np.random.default_rng(43)
+    n = 3000
+    train = rs.SampleSet(GS.lat_deg + rng.uniform(0.001, 0.005, n),
+                         GS.lon_deg + rng.uniform(0.001, 0.005, n),
+                         np.full(n, 60.0), rng.standard_normal(n))
+    # 24-column blocks: their temporaries, about 6 x 24 x n x 8 bytes,
+    # stay under n^2 / 2 bytes at this n
+    monkeypatch.setattr(geo, "_BLOCK_ELEMENTS", 1)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        gpr_fit(train, CORR, sigma_y=2.0, sigma_gp=1.0)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    # the kernel is 8 n^2 bytes; a finiteness scan of it would add an
+    # n x n boolean temporary, n^2 more
+    assert peak < 8.5 * n * n
 
 
 def test_predict_rejects_ragged_targets():
@@ -243,6 +268,17 @@ def test_fit_input_validation(monkeypatch):
         gpr_fit(sf, CORR, sigma_y=-1.0, sigma_gp=1.0)
     with pytest.raises(ValueError):
         gpr_fit(sf, CORR, sigma_y=1.0, sigma_gp=-0.1)
+    # non-finite inputs are refused before the kernel is built
+    good = rs.SampleSet.from_samples(sf)
+    for k in (3, 0):  # z, then lat
+        cols = [good.lat.copy(), good.lon, good.alt, good.z.copy()]
+        cols[k][1] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            gpr_fit(rs.SampleSet(*cols), CORR, sigma_y=1.0, sigma_gp=1.0)
+    with pytest.raises(ValueError, match="finite"):
+        gpr_fit(sf, CORR, sigma_y=1.0, sigma_gp=np.nan)
+    with pytest.raises(ValueError, match="finite"):
+        gpr_fit(sf, CORR, sigma_y=np.nan, sigma_gp=1.0)
     # the dense-kernel bound, lowered so that no large kernel is built
     monkeypatch.setattr(gpr, "MAX_FIT_POINTS", 2)
     with pytest.raises(rs.TooManyPoints, match="3 samples"):

@@ -266,6 +266,21 @@ def test_no_neighbors_raises_and_predict_falls_back():
     assert pred.neighbors_used == 0
 
 
+def test_tg_fallback_variance_is_in_the_score_domain():
+    sf = samples_of([offset_point(GS, 500.0, 0.0, 60.0)], [3.0])
+    tgt = rs.GeoPoint(GS.lat_deg, GS.lon_deg, 60.0)
+    tr = NormalScoreTransform(np.linspace(-9.0, 9.0, 41),
+                              np.linspace(-3.0, 3.0, 41), mean_u=0.0)
+    scores = transformed_model(CORR, 0.8)
+    for variant in ("TG_OK", "TG_SK"):
+        pred = predict(sf, CORR, tgt,
+                       KrigingConfig(radius_m=100.0, variant=variant),
+                       transform=tr, model_u=scores)
+        assert pred.fallback
+        # the prior variance of the kriged (score) model, not of CORR
+        assert pred.mse == pytest.approx(0.8**2)
+
+
 def test_duplicate_neighbors_need_jitter():
     p = offset_point(GS, 60.0, 0.0, 60.0)
     sf = [rs.SfSample(p, 1.0, 0), rs.SfSample(p, 1.0, 1)]

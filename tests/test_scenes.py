@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 import remsense as rs
-from remsense import geo
-from remsense.geo import horizontal_distance
+from remsense import geo, scenes
+from remsense.geo import _cross_lags, horizontal_distance
+from remsense.propagation import trpl_received_power_db
 from remsense.scenes import (
     Blob,
     CorrelatedFieldSampler,
@@ -152,6 +153,41 @@ def test_truth_consistent_with_measurements():
     # ragged coordinate columns are not broadcast
     with pytest.raises(ValueError, match=r"lat \(3,\), lon \(1,\), alt \(1,\)"):
         truth.at([p.lat_deg] * 3, [p.lon_deg], [p.alt_m])
+
+
+def test_truth_matches_dense_conditional_mean():
+    scene = SceneSpec(gs=GS, cfg=PROP, corr=CORR, noise_sd=0.5, seed=13)
+    traj = zigzag_trajectory(BASE, 300.0, 200.0, n_legs=4, alt_m=60.0,
+                             sample_spacing_m=9.0)
+    lat, lon, alt = geo._point_columns(traj.waypoints)
+    _, truth = generate_campaign(scene, traj)
+    q = [offset_point(BASE, 11.0 * k, 170.0 - 4.0 * k, 45.0 + 0.5 * k)
+         for k in range(40)]
+    qlat, qlon, qalt = geo._point_columns(q)
+    # reference: the field covariance with the sampler's lift, solved by LU
+    cov = CORR.covariance_at(*_cross_lags(lat, lon, alt, lat, lon, alt))
+    beta = np.linalg.solve(cov + scenes._DIAG_LIFT * np.eye(len(lat)),
+                           truth.sf)
+    cross = CORR.covariance_at(*_cross_lags(qlat, qlon, qalt, lat, lon, alt))
+    geom, _ = geo.link_geometry_batch(GS, qlat, qlon, qalt, PROP.wavelength_m)
+    det = trpl_received_power_db(PROP, geom)
+    np.testing.assert_allclose(truth.at(qlat, qlon, qalt), det + cross @ beta,
+                               rtol=0.0, atol=1e-9)
+
+
+def test_campaign_never_fits_the_truth(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("generate_campaign fitted the truth field")
+
+    monkeypatch.setattr(scenes, "gpr_fit", refuse)
+    scene = SceneSpec(gs=GS, cfg=PROP, corr=CORR, noise_sd=0.5, seed=14)
+    traj = zigzag_trajectory(BASE, 300.0, 200.0, n_legs=3, alt_m=60.0,
+                             sample_spacing_m=15.0)
+    meas, truth = generate_campaign(scene, traj)
+    assert len(meas) == len(truth.sf) > 0
+    # the fit happens at the first query
+    with pytest.raises(AssertionError, match="fitted the truth"):
+        truth.at_points(traj.waypoints[:1])
 
 
 def test_blocks_do_not_change_field_or_truth(monkeypatch):
