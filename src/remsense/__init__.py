@@ -79,6 +79,7 @@ from .kriging import (
     normal_score,
     ok_predict,
     predict,
+    predict_batch,
     select_neighbors,
     sk_predict,
     tg_predict,
@@ -161,8 +162,9 @@ __all__ = [
     "lawnmower_trajectory", "link_geometry", "link_geometry_batch",
     "mc_assisted_predict", "monte_carlo_eval", "normal_score",
     "nuclear_norm_min", "nuclear_norm_project", "ok_predict",
-    "pattern_from_dict", "pattern_to_dict", "predict", "read_delta_csv",
-    "read_pattern_csv", "reflection_coefficient", "ring_trajectory",
+    "pattern_from_dict", "pattern_to_dict", "predict", "predict_batch",
+    "read_delta_csv", "read_pattern_csv", "reflection_coefficient",
+    "ring_trajectory",
     "sample_correlated_field", "scene_from_json", "scene_to_json",
     "sector_blockage_delta", "select_neighbors", "semivariogram",
     "sk_predict", "stack_altitudes", "sweep", "tg_predict",

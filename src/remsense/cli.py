@@ -31,9 +31,8 @@ from .evaluation import (
     monte_carlo_eval,
     sweep,
 )
-from .geo import GeoPoint
 from .gpr import gpr_fit, gpr_predict_mean
-from .kriging import KrigingConfig, predict as kriging_predict
+from .kriging import KrigingConfig, predict_batch
 from .scenes import (
     _corr_from_dict,
     _corr_to_dict,
@@ -163,6 +162,8 @@ def _cmd_reconstruct(args):
         raise _ConfigProblem(f"spacing must be positive, got {args.spacing:g}")
     radius_m = args.radius if args.radius is not None else doc.get(
         "radius_m", 200.0)
+    if not radius_m > 0:
+        raise _ConfigProblem(f"radius_m must be positive, got {radius_m:g}")
     delta = None
     if args.delta_csv:
         delta = read_delta_csv(args.delta_csv)
@@ -197,12 +198,9 @@ def _cmd_reconstruct(args):
                        else method.replace("TG_", ""))
             kcfg = KrigingConfig(radius_m=radius_m, variant=variant,
                                  mean_z=fit.mean_z)
-            z_hat = np.array([
-                kriging_predict(samples, fit.corr, GeoPoint(la, lo, al), kcfg,
-                                transform=fit.transform,
-                                model_u=fit.corr_u).z_hat
-                for la, lo, al in zip(lat_q, lon_q, alt_q)
-            ])
+            z_hat = predict_batch(samples, fit.corr, lat_q, lon_q, alt_q,
+                                  kcfg, transform=fit.transform,
+                                  model_u=fit.corr_u).z_hat
 
     power = rhat + z_hat
     with open(args.out, "w", newline="") as fh:

@@ -122,7 +122,12 @@ def nuclear_norm_project(m: np.ndarray, bound: float) -> np.ndarray:
     """
     if bound < 0:
         raise ValueError("nuclear-norm bound must be >= 0")
-    u, s, vt = np.linalg.svd(m, full_matrices=False)
+    return _project_svd(m, np.linalg.svd(m, full_matrices=False), bound)
+
+
+def _project_svd(m: np.ndarray, svd, bound: float) -> np.ndarray:
+    """:func:`nuclear_norm_project` of ``m`` given its thin SVD."""
+    u, s, vt = svd
     total = float(s.sum())
     if total <= bound:
         return m.copy()
@@ -159,9 +164,16 @@ def nuclear_norm_min(grid: ShadowGrid, cfg: McConfig) -> McResult:
     feasible iterate, so the band constraint holds on every output.
     The input itself is feasible, which guarantees a valid return even
     when the band has zero width.
+
+    The input's thin SVD is taken once and every step soft-thresholds
+    its singular values, which gives the bits of calling
+    :func:`nuclear_norm_project` at each step.  The starting bound
+    stays ``np.linalg.norm(z, "nuc")``: that values-only SVD can differ
+    from the thin SVD's singular-value sum in the last bit.
     """
     z = grid.z
     tol = cfg.alpha * grid.sigma
+    svd = np.linalg.svd(z, full_matrices=False)
     lam_max = float(np.linalg.norm(z, ord="nuc"))
     lam_min = 0.0
     lam = lam_max
@@ -171,7 +183,7 @@ def nuclear_norm_min(grid: ShadowGrid, cfg: McConfig) -> McResult:
     while iters < cfg.max_bisection_iters:
         lam_old = lam
         lam = 0.5 * (lam_min + lam_max)
-        candidate = nuclear_norm_project(z, lam)
+        candidate = _project_svd(z, svd, lam)
         feasible = bool(np.all(np.abs(candidate - z) <= tol))
         if feasible:
             lam_max = lam

@@ -7,7 +7,9 @@ either solver in normal-score space and back-transform with a
 second-order bias correction.
 
 Neighbor selection is a closed ball over horizontal distance; vertical
-separation still enters every correlation evaluation.
+separation still enters every correlation evaluation.  One engine,
+:func:`predict_batch`, kriges a whole set of targets; the single-target
+predictors are wrappers over it.
 """
 
 from dataclasses import dataclass
@@ -18,7 +20,15 @@ from scipy.interpolate import PchipInterpolator
 from scipy.special import ndtri
 
 from .errors import InsufficientData, NoNeighbors, SingularSystem
-from .geo import GeoPoint, _cross_lags, _lags
+from .geo import (
+    GeoPoint,
+    _blocks,
+    _cross_lags,
+    _lag_kernel,
+    _lags,
+    _point_columns,
+    _target_columns,
+)
 from .shadowing import CorrelationModel, SampleSet
 
 
@@ -51,7 +61,9 @@ class KrigingPrediction:
 
     ``mse`` is the kriging variance in dB^2 (normal-score domain for the
     TG variants).  ``fallback`` marks targets with no neighbor in radius,
-    for which the residual estimate is 0 with prior variance.
+    for which the residual estimate is 0 with prior variance.  Fields
+    hold floats for one target or arrays for a batch
+    (:func:`predict_batch`).
     """
 
     z_hat: float
@@ -59,6 +71,12 @@ class KrigingPrediction:
     neighbors_used: int
     lagrange_mu: Optional[float] = None
     fallback: bool = False
+
+
+def _ball(d_h: np.ndarray, seq: np.ndarray, radius_m: float) -> np.ndarray:
+    """Indices with ``d_h <= radius_m``, by distance then ``seq``."""
+    idx = np.nonzero(d_h <= radius_m)[0]
+    return idx[np.lexsort((seq[idx], d_h[idx]))]
 
 
 def select_neighbors(samples, target: GeoPoint, radius_m: float) -> np.ndarray:
@@ -73,11 +91,10 @@ def select_neighbors(samples, target: GeoPoint, radius_m: float) -> np.ndarray:
     s = SampleSet.from_samples(samples)
     d, _ = _lags(s.lat, s.lon, s.alt, target.lat_deg, target.lon_deg,
                  target.alt_m)
-    idx = np.nonzero(d <= radius_m)[0]
+    idx = _ball(d, s.seq, radius_m)
     if idx.size == 0:
         raise NoNeighbors(f"no sample within {radius_m} m of the target")
-    order = np.lexsort((s.seq[idx], d[idx]))
-    return idx[order]
+    return idx
 
 
 def _solve_with_retry(mat: np.ndarray, rhs: np.ndarray, jitter: float,
@@ -227,59 +244,109 @@ def normal_score(sf) -> NormalScoreTransform:
     return NormalScoreTransform(z_nodes, u_nodes, mean_u=float(np.mean(u)))
 
 
-def _krige(samples, model: CorrelationModel, target: GeoPoint,
-           cfg: KrigingConfig, ordinary: bool,
-           transform: NormalScoreTransform = None) -> KrigingPrediction:
-    """One target's estimate and variance, for every variant.
+def _krige_batch(s: SampleSet, model: CorrelationModel, lat, lon, alt,
+                 cfg: KrigingConfig, ordinary: bool,
+                 transform: NormalScoreTransform = None) -> KrigingPrediction:
+    """Every target's estimate and variance, for every variant.
 
     ``ordinary`` picks the semivariogram system with a Lagrange
     multiplier over the covariance system around a known mean.  With a
     ``transform`` the neighbours' normal scores are kriged around
-    ``transform.mean_u`` and the estimate is back-transformed; without
+    ``transform.mean_u`` and the estimates are back-transformed; without
     one the residuals are kriged around ``cfg.mean_z``.
+
+    The targets are walked in :func:`geo._blocks` over the sample
+    count.  Per block, one lag block from the targets to all samples
+    gives each target's neighbours (:func:`_ball`), and the model
+    matrix is built once over the union U of those neighbours (8|U|^2
+    bytes, at most 8n^2 for n samples); each target's system is indexed
+    out of it.  Every entry is the value a single-target solve would
+    build, so a target's result does not depend on the batch around it.
     """
-    s = SampleSet.from_samples(samples)
-    idx = select_neighbors(s, target, cfg.radius_m)
-    nb = s[idx]
-    dh_nn, dv_nn = _cross_lags(nb.lat, nb.lon, nb.alt, nb.lat, nb.lon, nb.alt)
-    dh_t, dv_t = _lags(nb.lat, nb.lon, nb.alt, target.lat_deg, target.lon_deg,
-                       target.alt_m)
-    values = nb.z
+    n_t = len(lat)
+    z_hat = np.zeros(n_t)
+    mse = np.full(n_t, model.sigma_z**2)
+    used = np.zeros(n_t, dtype=int)
+    mu = np.full(n_t, np.nan) if ordinary else None
+    values = s.z
     mean = cfg.mean_z
     if transform is not None:
         values = np.asarray(transform.forward(values), dtype=float)
         mean = transform.mean_u
-    mu = None
-    if ordinary:
-        gamma_nn = model.semivariogram_at(dh_nn, dv_nn)
-        gamma_t = model.semivariogram_at(dh_t, dv_t)
-        w, mu = solve_ordinary(gamma_nn, gamma_t, cfg.jitter)
-        z_hat = float(w @ values)
-        mse = max(float(w @ gamma_t + mu), 0.0)
-    else:
-        cov_nn = model.covariance_at(dh_nn, dv_nn)
-        cov_t = model.covariance_at(dh_t, dv_t)
-        w = solve_simple(cov_nn, cov_t, cfg.jitter)
-        z_hat = float(mean + w @ (values - mean))
-        mse = max(float(model.sigma_z**2 - w @ cov_t), 0.0)
+    model_at = model.semivariogram_at if ordinary else model.covariance_at
+    for b in _blocks(n_t, len(s)):
+        dh, dv = _cross_lags(lat[b], lon[b], alt[b], s.lat, s.lon, s.alt)
+        union = np.nonzero((dh <= cfg.radius_m).any(axis=0))[0]
+        if union.size == 0:
+            continue
+        a_tn = model_at(dh, dv)
+        # the kernel is exactly symmetric; its transpose is C-ordered,
+        # which makes the row-then-column gathers below cheap
+        a_uu = _lag_kernel(model_at, s.lat[union], s.lon[union],
+                           s.alt[union]).T
+        for row, t in enumerate(range(b.start, b.stop)):
+            idx = _ball(dh[row], s.seq, cfg.radius_m)
+            if idx.size == 0:
+                continue
+            pos = np.searchsorted(union, idx)
+            a_nn = a_uu.take(pos, axis=0).take(pos, axis=1)
+            a_t = a_tn[row, idx]
+            nb = values[idx]
+            if ordinary:
+                w, mu[t] = solve_ordinary(a_nn, a_t, cfg.jitter)
+                z_hat[t] = w @ nb
+                mse[t] = max(float(w @ a_t + mu[t]), 0.0)
+            else:
+                w = solve_simple(a_nn, a_t, cfg.jitter)
+                z_hat[t] = mean + w @ (nb - mean)
+                mse[t] = max(float(model.sigma_z**2 - w @ a_t), 0.0)
+            used[t] = idx.size
+    fallback = used == 0
     if transform is not None:
-        z_hat = transform.back_transform(
-            z_hat, mse, 0.0 if mu is None else mu)
+        kriged = ~fallback
+        z_hat[kriged] = transform.back_transform(
+            z_hat[kriged], mse[kriged], mu[kriged] if ordinary else 0.0)
+    return KrigingPrediction(z_hat=z_hat, mse=mse, neighbors_used=used,
+                             lagrange_mu=mu, fallback=fallback)
+
+
+def _krige_one(samples, model: CorrelationModel, target: GeoPoint,
+               cfg: KrigingConfig, ordinary: bool,
+               transform: NormalScoreTransform = None) -> KrigingPrediction:
+    """:func:`_krige_batch` at one target.
+
+    Raises:
+        NoNeighbors: when no sample lies within ``cfg.radius_m``.
+    """
+    out = _krige_batch(SampleSet.from_samples(samples), model,
+                       *_point_columns([target]), cfg, ordinary, transform)
+    if out.fallback[0]:
+        raise NoNeighbors(f"no sample within {cfg.radius_m} m of the target")
+    return _record(out)
+
+
+def _record(out: KrigingPrediction) -> KrigingPrediction:
+    """The one-target record of a batch of one."""
     return KrigingPrediction(
-        z_hat=z_hat, mse=mse, neighbors_used=len(idx), lagrange_mu=mu
+        z_hat=float(out.z_hat[0]),
+        mse=float(out.mse[0]),
+        neighbors_used=int(out.neighbors_used[0]),
+        lagrange_mu=(None if out.lagrange_mu is None or out.fallback[0]
+                     else float(out.lagrange_mu[0])),
+        fallback=bool(out.fallback[0]),
     )
 
 
 def ok_predict(samples, model: CorrelationModel, target: GeoPoint,
                cfg: KrigingConfig) -> KrigingPrediction:
     """Ordinary-kriging estimate of the residual at ``target``."""
-    return _krige(samples, model, target, cfg, ordinary=True)
+    return _krige_one(samples, model, target, cfg, ordinary=True)
 
 
 def sk_predict(samples, model: CorrelationModel, target: GeoPoint,
                cfg: KrigingConfig) -> KrigingPrediction:
     """Simple-kriging estimate around the known mean ``cfg.mean_z``."""
-    return _krige(samples, model, target, cfg, ordinary=False)
+    return _krige_one(samples, model, target, cfg, ordinary=False)
 
 
 def tg_predict(samples, model_u: CorrelationModel, target: GeoPoint,
@@ -294,17 +361,29 @@ def tg_predict(samples, model_u: CorrelationModel, target: GeoPoint,
     """
     if cfg.variant not in ("TG_OK", "TG_SK"):
         raise ValueError(f"tg_predict called with variant {cfg.variant!r}")
-    return _krige(samples, model_u, target, cfg, cfg.variant == "TG_OK",
-                  transform)
+    return _krige_one(samples, model_u, target, cfg, cfg.variant == "TG_OK",
+                      transform)
 
 
-def predict(samples, model: CorrelationModel, target: GeoPoint,
-            cfg: KrigingConfig, transform: NormalScoreTransform = None,
-            model_u: CorrelationModel = None) -> KrigingPrediction:
-    """Variant dispatcher with the no-neighbor fallback.
+def predict_batch(samples, model: CorrelationModel, lat, lon, alt,
+                  cfg: KrigingConfig, transform: NormalScoreTransform = None,
+                  model_u: CorrelationModel = None) -> KrigingPrediction:
+    """Variant dispatcher over target columns, with the no-neighbor fallback.
 
+    ``lat``, ``lon`` and ``alt`` are equal-length target columns (a
+    scalar is one target).  Each target is kriged from the samples
+    within ``cfg.radius_m`` of it, ordered by distance with ties broken
+    by ``seq`` as :func:`select_neighbors` orders them; the TG variants
+    krige with ``model_u`` (or ``model`` without one) and ``transform``.
     Targets with an empty neighborhood fall back to the deterministic
-    model alone (residual 0, prior variance) and are flagged.
+    model alone (residual 0, the kriged model's prior variance) and are
+    flagged.
+
+    Returns:
+        A :class:`KrigingPrediction` of per-target arrays.
+        ``lagrange_mu`` is None for the simple-kriging variants and NaN
+        at fallback targets.  Each target's values are those of
+        :func:`predict` at that target, bit for bit.
     """
     if cfg.variant not in ("OK", "SK", "TG_OK", "TG_SK"):
         raise ValueError(f"unknown kriging variant {cfg.variant!r}")
@@ -312,14 +391,20 @@ def predict(samples, model: CorrelationModel, target: GeoPoint,
     if trans_gaussian and transform is None:
         raise ValueError("TG variants need a normal-score transform")
     kriged = (model_u or model) if trans_gaussian else model
-    try:
-        return _krige(samples, kriged, target, cfg,
-                      cfg.variant in ("OK", "TG_OK"),
-                      transform if trans_gaussian else None)
-    except NoNeighbors:
-        return KrigingPrediction(
-            z_hat=0.0,
-            mse=kriged.sigma_z**2,
-            neighbors_used=0,
-            fallback=True,
-        )
+    return _krige_batch(SampleSet.from_samples(samples), kriged,
+                        *_target_columns(lat, lon, alt), cfg,
+                        cfg.variant in ("OK", "TG_OK"),
+                        transform if trans_gaussian else None)
+
+
+def predict(samples, model: CorrelationModel, target: GeoPoint,
+            cfg: KrigingConfig, transform: NormalScoreTransform = None,
+            model_u: CorrelationModel = None) -> KrigingPrediction:
+    """:func:`predict_batch` at one target, as a record of floats.
+
+    Targets with an empty neighborhood fall back to the deterministic
+    model alone (residual 0, prior variance) and are flagged.
+    """
+    return _record(predict_batch(samples, model, target.lat_deg,
+                                 target.lon_deg, target.alt_m, cfg,
+                                 transform=transform, model_u=model_u))

@@ -1,5 +1,8 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -25,7 +28,12 @@ from remsense.scenes import (
     stack_altitudes,
     write_measurements_csv,
 )
-from remsense.shadowing import SampleSet, extract_sf, transformed_model
+from remsense.shadowing import (
+    SampleSet,
+    _predicted_power,
+    extract_sf,
+    transformed_model,
+)
 
 from conftest import CORR, GS, PROP
 
@@ -217,6 +225,29 @@ def test_reconstruct_tg_krigs_with_the_shared_score_model(work, tmp_path):
             trpl_received_power_db(PROP, geom) + pred.z_hat, abs=1e-9)
 
 
+@pytest.mark.parametrize("method", ["OK", "SK", "TG_OK", "TG_SK"])
+def test_reconstruct_grid_equals_per_node_predict(work, tmp_path, method):
+    out = tmp_path / f"grid_{method}.csv"
+    assert main(["reconstruct", "--measurements", str(work / "test.csv"),
+                 "--config", str(work / "config.json"), "--out", str(out),
+                 "--method", method, "--spacing", "40",
+                 "--radius", "30"]) == 0
+    samples = SampleSet.from_samples(
+        extract_sf(ingest_measurements(work / "test.csv"), PROP, GS))
+    fit = fit_residual_model(samples, method)
+    kcfg = KrigingConfig(radius_m=30.0, variant=method, mean_z=fit.mean_z)
+    lat, lon, alt, power = np.loadtxt(out, delimiter=",", skiprows=1).T
+    _, rhat = _predicted_power(PROP, GS, lat, lon, alt, None)
+    fallbacks = 0
+    for k in range(len(lat)):
+        pred = kriging.predict(samples, fit.corr,
+                               rs.GeoPoint(lat[k], lon[k], alt[k]), kcfg,
+                               transform=fit.transform, model_u=fit.corr_u)
+        fallbacks += pred.fallback
+        assert power[k] == rhat[k] + pred.z_hat
+    assert 0 < fallbacks < len(lat)
+
+
 def test_reconstruct_tg_on_few_rows_falls_back_to_plain(work, tmp_path):
     few = tmp_path / "few.csv"
     write_measurements_csv(few, ingest_measurements(work / "train.csv")[::21])
@@ -307,13 +338,20 @@ def test_sweep_axis_and_csv(work, tmp_path, capsys):
 def test_reconstruct_unknown_method_exits_before_reading(work, tmp_path,
                                                          capsys):
     out = tmp_path / "grid.csv"
+    zero_radius = tmp_path / "zero_radius.json"
+    doc = json.loads((work / "config.json").read_text())
+    zero_radius.write_text(json.dumps({**doc, "radius_m": 0}))
+    config = str(work / "config.json")
     for extra, message in ((["--method", "IDW"], "method must be one of"),
                            (["--spacing", "0"], "spacing must be positive"),
-                           (["--spacing", "-5"], "spacing must be positive")):
+                           (["--spacing", "-5"], "spacing must be positive"),
+                           (["--radius", "0"], "radius_m must be positive"),
+                           (["--radius", "-5"], "radius_m must be positive"),
+                           (["--config", str(zero_radius)],
+                            "radius_m must be positive")):
         assert main(["reconstruct", "--measurements",
-                     str(tmp_path / "none.csv"), "--config",
-                     str(work / "config.json"), "--out", str(out)]
-                    + extra) == 2
+                     str(tmp_path / "none.csv"), "--config", config,
+                     "--out", str(out)] + extra) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
 
@@ -327,3 +365,30 @@ def test_eval_test_row_on_station_exits_3(work, tmp_path, capsys):
                  "--test", str(path), "--method", "TRPL_only",
                  "--iterations", "1"]) == 3
     assert "coincides with the station" in capsys.readouterr().err
+
+
+def test_outputs_agree_across_blas_thread_counts(work, tmp_path):
+    """Bit-exact repeats hold for a fixed BLAS thread count; across
+    thread counts synth and eval agree to well inside 1e-9 dB."""
+    src = os.path.dirname(os.path.dirname(rs.__file__))
+    results = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": src}
+        synth = tmp_path / f"synth{threads}.csv"
+        report = tmp_path / f"report{threads}.json"
+        for argv in (["synth", "--scene", str(work / "scene.json"),
+                      "--out", str(synth)],
+                     ["eval", "--config", str(work / "eval_config.json"),
+                      "--test", str(work / "test.csv"), "--method", "OK",
+                      "-M", "100", "--iterations", "3", "--out",
+                      str(report)]):
+            subprocess.run([sys.executable, "-m", "remsense.cli", *argv],
+                           env=env, check=True, capture_output=True)
+        results.append((
+            ingest_measurements(synth).rsrp,
+            np.asarray(json.loads(report.read_text())["rmse_db"]),
+        ))
+    (synth1, rmse1), (synth2, rmse2) = results
+    np.testing.assert_allclose(synth2, synth1, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(rmse2, rmse1, rtol=0, atol=1e-9)

@@ -20,7 +20,7 @@ from remsense.completion import (
 from remsense.geo import _arc_distance, to_local_xy
 from remsense.gpr import gpr_fit
 
-from conftest import CORR, GS, offset_point
+from conftest import CORR, GS, PROP, offset_point
 
 SPEC = GridSpec(origin=rs.GeoPoint(35.72, -78.70, 60.0), spacing_m=10.0,
                 n_rows=12, n_cols=12, alt_m=60.0)
@@ -151,6 +151,43 @@ def test_project_properties_random():
                                np.zeros_like(m), atol=1e-12)
     with pytest.raises(ValueError):
         nuclear_norm_project(m, -1.0)
+
+
+def _bisect_projecting_each_step(grid, cfg):
+    """The bisection of ``nuclear_norm_min``, one SVD per step."""
+    z = grid.z
+    tol = cfg.alpha * grid.sigma
+    lam_max = float(np.linalg.norm(z, ord="nuc"))
+    lam_min, lam, best, iters = 0.0, lam_max, z.copy(), 0
+    while iters < cfg.max_bisection_iters:
+        lam_old = lam
+        lam = 0.5 * (lam_min + lam_max)
+        candidate = nuclear_norm_project(z, lam)
+        feasible = bool(np.all(np.abs(candidate - z) <= tol))
+        if feasible:
+            lam_max, best = lam, candidate
+        else:
+            lam_min = lam
+        iters += 1
+        if feasible and abs(lam - lam_old) <= cfg.t_lambda:
+            break
+    return best, lam, iters
+
+
+def test_one_svd_bisection_matches_projecting_each_step(gaussian_campaigns):
+    _, test, _ = gaussian_campaigns
+    sf = rs.extract_sf(test, PROP, GS)
+    rng = np.random.default_rng(52)
+    for draw in range(4):
+        train = sf[rng.choice(len(sf), size=100, replace=False)]
+        grid = gpr_to_grid(gpr_fit(train, CORR, 2.5, 1.5),
+                           build_grid(train, 5.0))
+        for cfg in (McConfig(), McConfig(alpha=0.3, t_lambda=1.0)):
+            got = nuclear_norm_min(grid, cfg)
+            z_mc, bound, iterations = _bisect_projecting_each_step(grid, cfg)
+            np.testing.assert_array_equal(got.z_mc, z_mc)
+            assert got.bound == bound
+            assert got.iterations == iterations
 
 
 # -------------------------------------------------------------- completion

@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import remsense as rs
-from remsense.geo import _arc_distance, horizontal_distance
+from remsense.geo import _arc_distance, _point_columns, horizontal_distance
 from remsense.kriging import (
     KrigingConfig,
     NormalScoreTransform,
@@ -482,3 +484,151 @@ def test_kriging_config_validation():
         KrigingConfig(radius_m=0.0)
     with pytest.raises(ValueError):
         KrigingConfig(radius_m=100.0, jitter=-1.0)
+
+
+# ---------------------------------------------------------- batched engine
+
+def _dense_oracle(points, z, seq, targets, model, radius_m, variant,
+                  mean, transform=None):
+    """Per-target kriging straight from the formulas, neighbours ordered
+    by distance then ``seq``; fallback targets give (0, prior, 0)."""
+    lat = np.array([p.lat_deg for p in points])
+    lon = np.array([p.lon_deg for p in points])
+    alt = np.array([p.alt_m for p in points])
+    values = z if transform is None else transform.forward(z)
+
+    def model_at(dh, dv):
+        r = np.exp(-model.q * dv) * (model.a * np.exp(-model.p1 * dh)
+                                     + (1 - model.a) * np.exp(-model.p2 * dh))
+        return model.sigma_z**2 * ((1 - r) if variant.endswith("OK") else r)
+
+    out = []
+    for t in targets:
+        d = _arc_distance(lat, lon, t.lat_deg, t.lon_deg)
+        nb = [k for k in sorted(range(len(points)),
+                                key=lambda k: (d[k], seq[k]))
+              if d[k] <= radius_m]
+        if not nb:
+            out.append((0.0, model.sigma_z**2, 0))
+            continue
+        k = len(nb)
+        dh = _arc_distance(lat[nb][:, None], lon[nb][:, None],
+                           lat[nb][None, :], lon[nb][None, :])
+        a_nn = model_at(dh, np.abs(alt[nb][:, None] - alt[nb][None, :]))
+        a_t = model_at(d[nb], np.abs(alt[nb] - t.alt_m))
+        if variant.endswith("OK"):
+            mat = np.ones((k + 1, k + 1))
+            mat[:k, :k] = a_nn
+            mat[k, k] = 0.0
+            sol = np.linalg.solve(mat, np.r_[a_t, 1.0])
+            w, mu = sol[:k], sol[k]
+            est, mse = w @ values[nb], max(w @ a_t + mu, 0.0)
+        else:
+            w, mu = np.linalg.solve(a_nn, a_t), 0.0
+            est = mean + w @ (values[nb] - mean)
+            mse = max(model.sigma_z**2 - w @ a_t, 0.0)
+        if transform is not None:
+            est = transform.back_transform(est, mse, mu)
+        out.append((est, mse, k))
+    return np.array(out)
+
+
+def _batch_scene():
+    pts = scatter(60, 300.0, seed=31, alt_jitter=12.0)
+    z = np.exp(0.5 * field_samples(pts, CORR, seed=31) / 3.0) * 3.0
+    seq = np.random.default_rng(32).permutation(60)
+    sf = [rs.SfSample(p, float(v), int(q)) for p, v, q in zip(pts, z, seq)]
+    # a wider box than the samples', so that some targets fall back
+    targets = scatter(45, 500.0, seed=33, alt_jitter=20.0)
+    return pts, z, seq, sf, targets
+
+
+@pytest.mark.parametrize("variant", ["OK", "SK", "TG_OK", "TG_SK"])
+def test_predict_batch_matches_dense_oracle(variant):
+    pts, z, seq, sf, targets = _batch_scene()
+    tr = normal_score(sf) if variant.startswith("TG_") else None
+    model = UNIT if tr else CORR
+    mean = tr.mean_u if tr else 0.4
+    cfg = KrigingConfig(radius_m=70.0, variant=variant, mean_z=0.4)
+    got = rs.predict_batch(sf, CORR, *_point_columns(targets), cfg,
+                           transform=tr, model_u=UNIT)
+    want = _dense_oracle(pts, z, seq, targets, model, 70.0, variant, mean, tr)
+    assert 0 < np.count_nonzero(got.fallback) < len(targets)
+    np.testing.assert_array_equal(got.fallback, want[:, 2] == 0)
+    np.testing.assert_array_equal(got.neighbors_used, want[:, 2])
+    np.testing.assert_allclose(got.z_hat, want[:, 0], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(got.mse, want[:, 1], rtol=0, atol=1e-12)
+    assert got.z_hat[got.fallback].tolist() == [0.0] * int(got.fallback.sum())
+    if variant.endswith("SK"):
+        assert got.lagrange_mu is None
+    else:
+        assert np.all(np.isnan(got.lagrange_mu) == got.fallback)
+
+
+@pytest.mark.parametrize("variant", ["OK", "TG_SK"])
+def test_predict_batch_equals_predict_per_target(variant):
+    _, _, _, sf, targets = _batch_scene()
+    tr = normal_score(sf)
+    cfg = KrigingConfig(radius_m=70.0, variant=variant, mean_z=0.4)
+    got = rs.predict_batch(sf, CORR, *_point_columns(targets), cfg,
+                           transform=tr, model_u=UNIT)
+    for k, t in enumerate(targets):
+        one = predict(sf, CORR, t, cfg, transform=tr, model_u=UNIT)
+        assert (one.z_hat, one.mse, one.neighbors_used, one.fallback) == (
+            got.z_hat[k], got.mse[k], got.neighbors_used[k], got.fallback[k])
+
+
+def test_predict_batch_unchanged_by_block_size(monkeypatch):
+    _, _, _, sf, targets = _batch_scene()
+    tr = normal_score(sf)
+    cols = _point_columns(targets)
+    for variant in ("OK", "SK", "TG_OK", "TG_SK"):
+        cfg = KrigingConfig(radius_m=90.0, variant=variant)
+        whole = rs.predict_batch(sf, CORR, *cols, cfg, transform=tr,
+                                 model_u=UNIT)
+        with monkeypatch.context() as m:
+            # 24 targets per block, and the union's kernel in blocks too
+            m.setattr(rs.geo, "_BLOCK_ELEMENTS", 64)
+            blocked = rs.predict_batch(sf, CORR, *cols, cfg, transform=tr,
+                                       model_u=UNIT)
+        for name in ("z_hat", "mse", "neighbors_used", "lagrange_mu",
+                     "fallback"):
+            np.testing.assert_array_equal(getattr(blocked, name),
+                                          getattr(whole, name))
+
+
+def test_predict_batch_jitter_retry_is_per_system():
+    p = offset_point(GS, 60.0, 0.0, 60.0)
+    others = [offset_point(GS, 400.0 + 20.0 * k, 30.0 * (k % 2), 60.0)
+              for k in range(5)]
+    sf = samples_of([p, p] + others, [1.0, 1.2, 0.3, -0.5, 0.8, 1.1, -0.2])
+    near = offset_point(GS, 80.0, 0.0, 60.0)
+    far = offset_point(GS, 440.0, 15.0, 60.0)
+    lat, lon, alt = _point_columns([near, far])
+    exact = KrigingConfig(radius_m=200.0, variant="SK", jitter=0.0)
+    with pytest.raises(rs.SingularSystem):
+        rs.predict_batch(sf, CORR, lat, lon, alt, exact)
+    lifted = dataclasses.replace(exact, jitter=1e-6)
+    got = rs.predict_batch(sf, CORR, lat, lon, alt, lifted)
+    assert np.all(np.isfinite(got.z_hat))
+    # only the duplicates' system is lifted
+    alone = rs.predict_batch(sf, CORR, lat[1:], lon[1:], alt[1:], exact)
+    assert got.z_hat[1] == alone.z_hat[0]
+    assert got.mse[1] == alone.mse[0]
+    assert got.z_hat[0] == sk_predict(sf, CORR, near, lifted).z_hat
+
+
+def test_predict_batch_validates_like_predict():
+    _, _, _, sf, targets = _batch_scene()
+    cols = _point_columns(targets[:3])
+    with pytest.raises(ValueError):
+        rs.predict_batch(sf, CORR, *cols, KrigingConfig(radius_m=50.0,
+                                                        variant="IDW"))
+    with pytest.raises(ValueError):
+        rs.predict_batch(sf, CORR, *cols, KrigingConfig(radius_m=50.0,
+                                                        variant="TG_OK"))
+    with pytest.raises(ValueError):
+        rs.predict_batch(sf, CORR, cols[0], cols[1][:2], cols[2],
+                         KrigingConfig(radius_m=50.0))
+    empty = rs.predict_batch(sf, CORR, [], [], [], KrigingConfig(radius_m=50.0))
+    assert empty.z_hat.shape == (0,)
