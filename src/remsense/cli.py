@@ -22,7 +22,7 @@ from .calibration import (
     write_delta_csv,
 )
 from .completion import McAssistedGpr, McConfig, build_grid
-from .errors import RemSenseError
+from .errors import RangeError, RemSenseError
 from .evaluation import (
     METHODS,
     EvalConfig,
@@ -81,7 +81,10 @@ def _mc_from_dict(d: dict) -> McConfig:
     unknown = set(d) - allowed
     if unknown:
         raise _ConfigProblem(f"unknown mc keys: {sorted(unknown)}")
-    return McConfig(**d)
+    try:
+        return McConfig(**d)
+    except RangeError as exc:
+        raise _ConfigProblem(f"mc: {exc}") from None
 
 
 # ---------------------------------------------------------------- synth
@@ -164,6 +167,7 @@ def _cmd_reconstruct(args):
         "radius_m", 200.0)
     if not radius_m > 0:
         raise _ConfigProblem(f"radius_m must be positive, got {radius_m:g}")
+    mc = _mc_from_dict(doc.get("mc", {}))
     delta = None
     if args.delta_csv:
         delta = read_delta_csv(args.delta_csv)
@@ -191,7 +195,7 @@ def _cmd_reconstruct(args):
             if method == "GPR":
                 z_hat = gpr_predict_mean(model, lat_q, lon_q, alt_q)
             else:
-                pipeline = McAssistedGpr(model, _mc_from_dict(doc.get("mc", {})))
+                pipeline = McAssistedGpr(model, mc)
                 z_hat = pipeline.predict(lat_q, lon_q)
         else:
             variant = (method if fit.transform is not None

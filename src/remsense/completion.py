@@ -35,6 +35,13 @@ class GridSpec:
     n_cols: int
     alt_m: float
 
+    def __post_init__(self):
+        _check_real(self, "spacing_m", positive=True)
+        if not np.isfinite(self.alt_m):
+            raise RangeError(f"alt_m must be finite, got {self.alt_m!r}")
+        _check_int(self, "n_rows", 1)
+        _check_int(self, "n_cols", 1)
+
     def node_latlon(self):
         """Mesh of node coordinates, each shaped (n_rows, n_cols)."""
         y = np.arange(self.n_rows) * self.spacing_m
@@ -71,6 +78,31 @@ class McConfig:
     dilation_radius: int = 1
     max_bisection_iters: int = 60
     grid_spacing_m: float = 5.0
+
+    def __post_init__(self):
+        _check_real(self, "alpha", positive=False)
+        _check_real(self, "t_v", positive=False)
+        _check_real(self, "t_lambda", positive=True)
+        _check_real(self, "grid_spacing_m", positive=True)
+        _check_int(self, "dilation_radius", 0)
+        _check_int(self, "max_bisection_iters", 1)
+
+
+def _check_real(obj, name, positive):
+    """Raise RangeError unless field ``name`` is finite and > 0
+    (``positive``) or >= 0."""
+    v = getattr(obj, name)
+    if not (np.isfinite(v) and (v > 0 if positive else v >= 0)):
+        raise RangeError(f"{name} must be finite and "
+                         f"{'> 0' if positive else '>= 0'}, got {v!r}")
+
+
+def _check_int(obj, name, low):
+    """Raise RangeError unless field ``name`` is an integer >= ``low``."""
+    v = getattr(obj, name)
+    if (isinstance(v, bool) or not isinstance(v, (int, np.integer))
+            or v < low):
+        raise RangeError(f"{name} must be an integer >= {low}, got {v!r}")
 
 
 def build_grid(samples, spacing_m: float = 5.0) -> GridSpec:
@@ -249,12 +281,19 @@ class McAssistedGpr:
 
     Raises:
         RangeError: the model's samples span more than one altitude.
+        DegenerateExtent: a grid of fewer than 2 rows or columns, which
+            the bicubic interpolant cannot span.
     """
 
     def __init__(self, model: GprModel, cfg: McConfig, spec: GridSpec = None):
         _check_one_altitude(model.train.alt)
         if spec is None:
             spec = build_grid(model.train, cfg.grid_spacing_m)
+        if spec.n_rows < 2 or spec.n_cols < 2:
+            raise DegenerateExtent(
+                f"a {spec.n_rows} x {spec.n_cols} grid; the interpolant "
+                "needs at least 2 rows and 2 columns"
+            )
         self.cfg = cfg
         self.grid = gpr_to_grid(model, spec)
         self.mc = nuclear_norm_min(self.grid, cfg)

@@ -169,6 +169,80 @@ def _cross_lags(lat1, lon1, alt1, lat2, lon2, alt2):
                  lat2[None, :], lon2[None, :], alt2[None, :])
 
 
+def _grid_axes(lat, lon, alt):
+    """``(lat_rows, lon_cols)`` of 1-D target columns laid out as a grid.
+
+    The columns qualify when they are the row-major nodes of a
+    ``len(lat_rows)`` x ``len(lon_cols)`` grid at one altitude: node
+    ``j`` sits at ``(lat_rows[j // C], lon_cols[j % C])`` with
+    ``C = len(lon_cols)``, which is how ``GridSpec.node_latlon()``
+    ravels.  Returns None for any other layout.  Every node is compared
+    exactly with its row and column, so a layout accepted here names
+    each target's own coordinates.
+    """
+    n = lat.size
+    if n == 0 or np.any(alt != alt[0]):
+        return None
+    # a row is the run of nodes sharing the first node's latitude
+    n_cols = int(np.argmax(lat != lat[0])) or n
+    if n % n_cols:
+        return None
+    lat_rows, lon_cols = lat[::n_cols], lon[:n_cols]
+    if (np.any(lat.reshape(-1, n_cols) != lat_rows[:, None])
+            or np.any(lon.reshape(-1, n_cols) != lon_cols)):
+        return None
+    return lat_rows, lon_cols
+
+
+def _grid_lags(lat1, lon1, alt1, lat_rows, lon_cols, alt2, nodes):
+    """:func:`_cross_lags` from 1-D columns 1 to a slice of grid nodes.
+
+    The targets are the ``nodes`` slice of the row-major nodes of the
+    grid :func:`_grid_axes` describes, at altitude ``alt2``.  The slice
+    is cut into at most three rectangles of the grid (the tail of its
+    first row, its whole rows, the head of its last row), and each goes
+    through :func:`_lags` with points 1 shaped ``(n, 1, 1)``, grid rows
+    ``(1, r, 1)`` and grid columns ``(1, 1, c)``.  The sines and cosines
+    of :func:`_arc_distance` are then taken once per (point, row) and
+    per (point, column); only their combination runs per node.  Each
+    node's lag is made of the same operations on the same values as in
+    :func:`_cross_lags`, so it has the same bits.  Cutting the slice,
+    rather than covering its rows whole, computes no node outside it,
+    and keeps a block near its size when grid rows are longer than it.
+
+    Returns ``d_h`` of shape ``(n, len(nodes))`` and ``d_v`` as one
+    column ``(n, 1)``, since every node has the same altitude.
+    """
+    lat1, lon1 = lat1[:, None, None], lon1[:, None, None]
+    pieces = []
+    for rows, cols in _grid_rectangles(nodes, lon_cols.size):
+        d_h, d_v = _lags(lat1, lon1, alt1[:, None],
+                         lat_rows[None, rows, None], lon_cols[None, None, cols],
+                         alt2)
+        pieces.append(d_h.reshape(len(lat1), -1))
+    if len(pieces) == 1:
+        return pieces[0], d_v
+    return np.concatenate(pieces, axis=1), d_v
+
+
+def _grid_rectangles(nodes, n_cols):
+    """``(rows, cols)`` slice pairs of the grid rectangles that make up,
+    in row-major order, the ``nodes`` slice of a grid ``n_cols`` wide."""
+    r0, c0 = divmod(nodes.start, n_cols)
+    r1, c1 = divmod(nodes.stop, n_cols)
+    if r0 == r1:
+        return [(slice(r0, r0 + 1), slice(c0, c1))]
+    out = []
+    if c0:
+        out.append((slice(r0, r0 + 1), slice(c0, n_cols)))
+        r0 += 1
+    if r1 > r0:
+        out.append((slice(r0, r1), slice(0, n_cols)))
+    if c1:
+        out.append((slice(r1, r1 + 1), slice(0, c1)))
+    return out
+
+
 def _lag_kernel(cov_at, lat, lon, alt):
     """``cov_at(d_h, d_v)`` between every two points of 1-D columns.
 

@@ -13,7 +13,8 @@ from scipy import linalg
 
 from .errors import (DuplicateLocations, InsufficientData, SingularSystem,
                      TooManyPoints)
-from .geo import GeoPoint, _blocks, _cross_lags, _lag_kernel, _target_columns
+from .geo import (GeoPoint, _blocks, _cross_lags, _grid_axes, _grid_lags,
+                  _lag_kernel, _target_columns)
 from .shadowing import CorrelationModel, SampleSet, empirical_correlation
 
 # a fit holds one n x n float64 kernel, 8 n^2 bytes: 1.15 GB at this bound
@@ -113,11 +114,18 @@ def _check_duplicates(s: SampleSet):
 def _cross_cov_blocks(model: GprModel, lat, lon, alt):
     """``(block, k0)`` over fixed-size blocks of checked target columns;
     ``k0`` is the latent covariance from every training row to the
-    block's targets."""
+    block's targets.  Targets that are the row-major nodes of a grid
+    get their lags from per-row and per-column terms, with the same
+    bits."""
     t = model.train
     cov_at = _latent_cov(model.corr, model.sigma_y)
+    axes = _grid_axes(lat, lon, alt)
     for b in _blocks(lat.size, len(t)):
-        yield b, cov_at(*_cross_lags(t.lat, t.lon, t.alt, lat[b], lon[b], alt[b]))
+        if axes is None:
+            lags = _cross_lags(t.lat, t.lon, t.alt, lat[b], lon[b], alt[b])
+        else:
+            lags = _grid_lags(t.lat, t.lon, t.alt, *axes, alt[0], b)
+        yield b, cov_at(*lags)
 
 
 def gpr_predict_mean(model: GprModel, lat, lon, alt) -> np.ndarray:

@@ -10,7 +10,7 @@ import pytest
 import remsense as rs
 from remsense.calibration import read_delta_csv
 from remsense.cli import main
-from remsense import kriging
+from remsense import geo, gpr, kriging
 from remsense.evaluation import fit_residual_model, ingest_measurements
 from remsense.geo import link_geometry
 from remsense.kriging import KrigingConfig
@@ -341,19 +341,59 @@ def test_reconstruct_unknown_method_exits_before_reading(work, tmp_path,
     zero_radius = tmp_path / "zero_radius.json"
     doc = json.loads((work / "config.json").read_text())
     zero_radius.write_text(json.dumps({**doc, "radius_m": 0}))
+    bad_mc = []
+    for field, value in (("alpha", -1), ("t_lambda", 0), ("t_v", -1),
+                         ("dilation_radius", -1),
+                         ("max_bisection_iters", 0),
+                         ("grid_spacing_m", 0)):
+        path = tmp_path / f"bad_{field}.json"
+        path.write_text(json.dumps({**doc, "mc": {field: value}}))
+        bad_mc.append((["--config", str(path), "--method", "MC_GPR"],
+                       f"mc: {field} must be"))
     config = str(work / "config.json")
-    for extra, message in ((["--method", "IDW"], "method must be one of"),
+    for extra, message in [(["--method", "IDW"], "method must be one of"),
                            (["--spacing", "0"], "spacing must be positive"),
                            (["--spacing", "-5"], "spacing must be positive"),
                            (["--radius", "0"], "radius_m must be positive"),
                            (["--radius", "-5"], "radius_m must be positive"),
                            (["--config", str(zero_radius)],
-                            "radius_m must be positive")):
+                            "radius_m must be positive")] + bad_mc:
         assert main(["reconstruct", "--measurements",
                      str(tmp_path / "none.csv"), "--config", config,
                      "--out", str(out)] + extra) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_reconstruct_missing_measurements_exits_3(work, tmp_path, capsys):
+    out = tmp_path / "grid.csv"
+    assert main(["reconstruct", "--measurements", str(tmp_path / "none.csv"),
+                 "--config", str(work / "config.json"), "--out", str(out),
+                 "--method", "MC_GPR"]) == 3
+    assert "none.csv" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("method", ["GPR", "MC_GPR"])
+def test_reconstruct_gpr_grid_lags_write_the_same_bytes(work, tmp_path,
+                                                         monkeypatch, method):
+    calls = []
+    monkeypatch.setattr(gpr, "_grid_lags",
+                        lambda *a: calls.append(a) or geo._grid_lags(*a))
+
+    def grid(name):
+        out = tmp_path / name
+        assert main(["reconstruct", "--measurements", str(work / "train.csv"),
+                     "--config", str(work / "config.json"), "--out", str(out),
+                     "--method", method, "--spacing", "20"]) == 0
+        return out.read_bytes()
+
+    via_grid = grid("grid.csv")
+    assert calls
+    monkeypatch.setattr(gpr, "_grid_axes", lambda lat, lon, alt: None)
+    n_calls = len(calls)
+    assert grid("scattered.csv") == via_grid
+    assert len(calls) == n_calls
 
 
 def test_eval_test_row_on_station_exits_3(work, tmp_path, capsys):

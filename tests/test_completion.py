@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.interpolate import RectBivariateSpline
@@ -75,6 +77,24 @@ def test_build_grid_rejects_degenerate_extent():
     for spacing in (0.0, -5.0):
         with pytest.raises(rs.RangeError, match="spacing must be positive"):
             build_grid(samples_of(pts, [0.0, 0.0]), spacing_m=spacing)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("spacing_m", 0.0), ("spacing_m", -10.0), ("spacing_m", np.nan),
+    ("spacing_m", np.inf), ("alt_m", np.nan), ("alt_m", -np.inf),
+    ("n_rows", 0), ("n_rows", 12.0), ("n_cols", -1), ("n_cols", True),
+])
+def test_grid_spec_rejects_bad_fields(field, value):
+    with pytest.raises(rs.RangeError, match=field):
+        dataclasses.replace(SPEC, **{field: value})
+
+
+def test_pipeline_rejects_a_grid_of_one_row_or_column():
+    m = pipeline_model(seed=58)
+    spec = build_grid(m.train, spacing_m=10.0)
+    for shape in ({"n_rows": 1}, {"n_cols": 1}):
+        with pytest.raises(rs.DegenerateExtent, match="at least 2 rows"):
+            McAssistedGpr(m, McConfig(), dataclasses.replace(spec, **shape))
 
 
 def test_gpr_to_grid_matches_direct_posterior():
@@ -347,6 +367,28 @@ def test_predict_accepts_arrays_and_scalars():
     assert isinstance(single, float)
     assert batch.shape == (1,)
     assert batch[0] == pytest.approx(single, abs=1e-12)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("alpha", -1.0), ("alpha", np.nan), ("alpha", np.inf),
+    ("t_v", -1.0), ("t_v", np.nan),
+    ("t_lambda", 0.0), ("t_lambda", -5.0), ("t_lambda", np.nan),
+    ("grid_spacing_m", 0.0), ("grid_spacing_m", -5.0),
+    ("grid_spacing_m", np.inf),
+    ("dilation_radius", -1), ("dilation_radius", 1.5),
+    ("dilation_radius", True),
+    ("max_bisection_iters", 0), ("max_bisection_iters", 60.0),
+])
+def test_mc_config_rejects_bad_fields(field, value):
+    with pytest.raises(rs.RangeError, match=field):
+        McConfig(**{field: value})
+
+
+def test_mc_config_accepts_edge_values():
+    cfg = McConfig(alpha=0.0, t_v=0.0, t_lambda=1e-9, dilation_radius=0,
+                   max_bisection_iters=1, grid_spacing_m=1e-3)
+    assert cfg.max_bisection_iters == 1
+    assert McConfig(dilation_radius=np.int64(2)).dilation_radius == 2
 
 
 def test_one_shot_wrapper_matches_pipeline():

@@ -5,7 +5,10 @@ import numpy as np
 import pytest
 
 import remsense as rs
-from remsense.geo import _cross_lags, _lags, from_local_xy, to_local_xy
+from remsense import geo
+from remsense.completion import GridSpec
+from remsense.geo import (_blocks, _cross_lags, _grid_axes, _grid_lags, _lags,
+                          from_local_xy, to_local_xy)
 
 from conftest import east_of, offset_point
 
@@ -114,6 +117,59 @@ class TestLags:
         ab, ba = _cross_lags(*a, *b), _cross_lags(*b, *a)
         for m_ab, m_ba in zip(ab, ba):
             assert m_ab.tobytes() == np.ascontiguousarray(m_ba.T).tobytes()
+
+
+def grid_nodes(n_rows, n_cols, spacing=7.0, alt=60.0):
+    """Ravelled node columns of a grid, as ``gpr_to_grid`` passes them."""
+    spec = GridSpec(origin=rs.GeoPoint(35.72, -78.70, alt), spacing_m=spacing,
+                    n_rows=n_rows, n_cols=n_cols, alt_m=alt)
+    lat, lon = (g.ravel() for g in spec.node_latlon())
+    return lat, lon, np.full(lat.size, alt)
+
+
+class TestGridLags:
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (6, 1), (4, 7)])
+    def test_axes_of_ravelled_nodes(self, shape):
+        lat, lon, alt = grid_nodes(*shape)
+        lat_rows, lon_cols = _grid_axes(lat, lon, alt)
+        assert (lat_rows.size, lon_cols.size) == shape
+        j = np.arange(lat.size)
+        assert np.array_equal(lat_rows[j // shape[1]], lat)
+        assert np.array_equal(lon_cols[j % shape[1]], lon)
+
+    def test_axes_reject_other_layouts(self):
+        lat, lon, alt = grid_nodes(4, 7)
+        order = np.random.default_rng(0).permutation(lat.size)
+        assert _grid_axes(lat[order], lon[order], alt[order]) is None
+        col_major = np.arange(lat.size).reshape(4, 7).T.ravel()
+        assert _grid_axes(lat[col_major], lon[col_major],
+                          alt[col_major]) is None
+        assert _grid_axes(lat[:-1], lon[:-1], alt[:-1]) is None
+        mixed = alt.copy()
+        mixed[5] += 1.0
+        assert _grid_axes(lat, lon, mixed) is None
+        nudged = lon.copy()
+        nudged[-1] = np.nextafter(nudged[-1], 0.0)
+        assert _grid_axes(lat, nudged, alt) is None
+
+    @pytest.mark.parametrize("shape", [(7, 11), (3, 50), (1, 60), (40, 1)])
+    def test_lags_equal_cross_lags_on_every_block(self, monkeypatch, shape):
+        rng = np.random.default_rng(1)
+        pts = (35.72 + 0.003 * rng.random(5), -78.70 + 0.003 * rng.random(5),
+               40.0 + 40.0 * rng.random(5))
+        lat, lon, alt = grid_nodes(*shape)
+        axes = _grid_axes(lat, lon, alt)
+        # 24-node blocks: most start and end inside a grid row
+        monkeypatch.setattr(geo, "_BLOCK_ELEMENTS", 1)
+        blocks = list(_blocks(lat.size, 5))
+        assert len(blocks) > 1
+        for b in blocks:
+            want_h, want_v = _cross_lags(*pts, lat[b], lon[b], alt[b])
+            d_h, d_v = _grid_lags(*pts, *axes, alt[0], b)
+            assert d_h.tobytes() == want_h.tobytes()
+            assert d_v.shape == (5, 1)
+            assert np.broadcast_to(d_v, want_v.shape).tobytes() \
+                == want_v.tobytes()
 
 
 class TestLinkGeometry:

@@ -185,6 +185,37 @@ def test_blocks_do_not_change_fit_or_prediction(monkeypatch):
     assert m1.clamp_events == m2.clamp_events > 0
 
 
+def test_grid_targets_take_the_grid_lags_with_the_same_bits(monkeypatch):
+    spec = rs.GridSpec(origin=offset_point(GS, 30.0, 40.0, 60.0),
+                       spacing_m=9.0, n_rows=13, n_cols=17, alt_m=60.0)
+    lat, lon = (g.ravel() for g in spec.node_latlon())
+    targets = (lat, lon, np.full(lat.size, 60.0))
+    # training rows on grid nodes, without noise: their variances round
+    # to either side of 0, so some are clamped
+    on_grid = np.random.default_rng(44).choice(lat.size, 60, replace=False)
+    train = rs.SampleSet(lat[on_grid], lon[on_grid], np.full(60, 60.0),
+                         np.random.default_rng(45).standard_normal(60))
+    calls = []
+    monkeypatch.setattr(gpr, "_grid_lags",
+                        lambda *a: calls.append(a) or geo._grid_lags(*a))
+
+    def predict():
+        m = gpr_fit(train, CORR, sigma_y=2.0, sigma_gp=0.0)
+        zh, var = gpr_predict_batch(m, *targets)
+        return zh, var, gpr_predict_mean(m, *targets), m.clamp_events
+
+    # 24-node blocks, most of them starting and ending inside a row
+    monkeypatch.setattr(geo, "_BLOCK_ELEMENTS", 1)
+    grid = predict()
+    assert len(calls) == 2 * -(-lat.size // 24)
+    monkeypatch.setattr(gpr, "_grid_axes", lambda lat, lon, alt: None)
+    scattered = predict()
+    assert len(calls) == 2 * -(-lat.size // 24)
+    for got, want in zip(grid[:3], scattered[:3]):
+        assert np.array_equal(got, want)
+    assert grid[3] == scattered[3] > 0
+
+
 def test_predict_memory_does_not_grow_with_targets():
     rng = np.random.default_rng(41)
     n, t = 600, 8000
