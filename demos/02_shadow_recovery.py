@@ -10,7 +10,7 @@ import numpy as np
 
 import remsense as rs
 from remsense.evaluation import fit_residual_model
-from remsense.kriging import KrigingConfig, predict
+from remsense.kriging import KrigingConfig, predict_batch
 from remsense.shadowing import extract_sf
 
 GS = rs.GeoPoint(35.72, -78.70, 10.0)
@@ -46,12 +46,12 @@ configs = {
     "SK": KrigingConfig(radius_m=200.0, variant="SK", mean_z=fit.mean_z),
     "TG_OK": KrigingConfig(radius_m=200.0, variant="TG_OK"),
 }
-errors = {name: [] for name in configs}
-for s in held:
-    for name, cfg in configs.items():
-        pred = predict(rest, fitted, s.location, cfg,
-                       transform=fit.transform, model_u=fit.corr_u)
-        errors[name].append(pred.z_hat - s.z)
+errors = {
+    name: predict_batch(rest, fitted, held.lat, held.lon, held.alt, cfg,
+                        transform=fit.transform, model_u=fit.corr_u).z_hat
+    - held.z
+    for name, cfg in configs.items()
+}
 
 print(f"hold-out check on {len(held)} points (residual sd would be "
       f"{values.std(ddof=1):.2f} dB with no interpolation):")

@@ -25,6 +25,7 @@ from .completion import McAssistedGpr, McConfig, build_grid
 from .errors import RangeError, RemSenseError
 from .evaluation import (
     METHODS,
+    SWEEP_AXES,
     EvalConfig,
     fit_residual_model,
     ingest_measurements,
@@ -378,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(
             name,
             help="run the Monte-Carlo evaluation protocol" if name == "eval"
-            else "evaluate along an axis (M, R, method, altitude_campaign)",
+            else f"evaluate along an axis ({', '.join(SWEEP_AXES)})",
         )
         p.add_argument("--config", default=None)
         p.add_argument("--test", default=None, help="test campaign CSV")
@@ -399,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.set_defaults(func=_cmd_eval)
         else:
             p.add_argument("--axis", required=True,
-                           choices=("M", "R", "method", "altitude_campaign"))
+                           choices=SWEEP_AXES)
             p.add_argument("--values", required=True,
                            help="comma-separated values")
             p.add_argument("--out", default=None,

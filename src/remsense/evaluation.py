@@ -30,7 +30,12 @@ from .errors import (
     _read_csv_rows,
 )
 from .geo import GeoPoint, _check_location, _cross_lags
-from .gpr import estimate_hyperparameters, gpr_fit, gpr_predict_mean
+from .gpr import (
+    _variance_split,
+    estimate_hyperparameters,
+    gpr_fit,
+    gpr_predict_mean,
+)
 from .kriging import (
     NormalScoreTransform,
     normal_score,
@@ -227,12 +232,14 @@ def fit_residual_model(samples: Optional[SampleSet], method: str,
         ValueError: no samples and no ``corr``, or a TG method without
             samples.
     """
+    table = None
     if corr is None:
         if samples is None:
             raise ValueError(
                 f"method {method} needs a train campaign or corr_model"
             )
-        corr = fit_correlation_model(empirical_correlation(samples))
+        table = empirical_correlation(samples)
+        corr = fit_correlation_model(table)
     if mean_z is None:
         mean_z = 0.0 if samples is None else float(np.mean(samples.z))
 
@@ -240,6 +247,9 @@ def fit_residual_model(samples: Optional[SampleSet], method: str,
     if method in ("GPR", "MC_GPR"):
         if sigma_split is not None:
             sigma_y, sigma_gp = sigma_split
+        elif table is not None:
+            # a fitted table has six populated bins, so four samples or more
+            sigma_y, sigma_gp = _variance_split(table)
         elif samples is not None:
             sigma_y, sigma_gp = estimate_hyperparameters(samples, corr)
         else:
@@ -326,9 +336,9 @@ def _residuals_kriging(cfg, fit, data, s_idx, z_m, t_idx, counters):
     """Krige the residual at each target from its sampled neighbours.
 
     The TG methods krige normal scores with the score-domain model and
-    back-transform; without a transform they run as the plain variant.
-    The lag and model matrices are built once; each target solves on
-    the sampled points within ``cfg.radius_m``, in sample order.
+    back-transform them in one call; without a transform they run as the
+    plain variant.  The lag and model matrices are built once; each target
+    solves on the sampled points within ``cfg.radius_m``, in sample order.
     """
     ordinary = cfg.method in ("OK", "TG_OK")
     transform = fit.transform
@@ -350,6 +360,9 @@ def _residuals_kriging(cfg, fit, data, s_idx, z_m, t_idx, counters):
         a_ts = model.covariance_at(dh_ts, dv_ts)
         centred = values - mean
     out = np.zeros(len(t_idx))
+    kriged = np.zeros(len(t_idx), dtype=bool)
+    mse = np.zeros(len(t_idx))
+    mu = np.zeros(len(t_idx))
     for k in range(len(t_idx)):
         nb = np.nonzero(dh_ts[k] <= cfg.radius_m)[0]
         if nb.size == 0:
@@ -357,17 +370,18 @@ def _residuals_kriging(cfg, fit, data, s_idx, z_m, t_idx, counters):
             continue
         a_t = a_ts[k, nb]
         if ordinary:
-            w, mu = solve_ordinary(a_ss[np.ix_(nb, nb)], a_t, cfg.jitter)
-            est = w @ values[nb]
+            w, mu[k] = solve_ordinary(a_ss[np.ix_(nb, nb)], a_t, cfg.jitter)
+            out[k] = w @ values[nb]
         else:
             w = solve_simple(a_ss[np.ix_(nb, nb)], a_t, cfg.jitter)
-            mu = 0.0
-            est = mean + w @ centred[nb]
+            out[k] = mean + w @ centred[nb]
         if transform is not None:
-            mse = w @ a_t + mu if ordinary else model.sigma_z**2 - w @ a_t
-            est = transform.back_transform(float(est), max(float(mse), 0.0),
-                                           mu)
-        out[k] = est
+            kriged[k] = True
+            var = w @ a_t + mu[k] if ordinary else model.sigma_z**2 - w @ a_t
+            mse[k] = max(float(var), 0.0)
+    if transform is not None:
+        out[kriged] = transform.back_transform(out[kriged], mse[kriged],
+                                               mu[kriged])
     return out
 
 

@@ -22,7 +22,7 @@ All functions accept scalars or equal-length numpy arrays for the
 coordinate arguments and broadcast elementwise.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -308,19 +308,11 @@ def link_geometry(gs: GeoPoint, uav: GeoPoint, wavelength_m: float) -> LinkGeome
         RangeError: if an antenna height is negative or the wavelength
             is not positive.
     """
-    if gs.alt_m < 0 or uav.alt_m < 0:
-        raise RangeError("antenna heights must be >= 0 for reflection geometry")
-    if wavelength_m <= 0:
-        raise RangeError("wavelength must be positive")
-    fields = _link_fields(
-        gs.lat_deg, gs.lon_deg, gs.alt_m,
-        uav.lat_deg, uav.lon_deg, uav.alt_m,
-        wavelength_m,
-    )
-    geom = LinkGeometry(*(float(v) for v in fields))
-    if geom.d_3d == 0.0:
+    geom, valid = link_geometry_batch(gs, *_point_columns([uav]), wavelength_m)
+    if not valid[0]:
         raise DegenerateLink("ground station and receiver coincide")
-    return geom
+    return LinkGeometry(*(float(getattr(geom, f.name)[0])
+                          for f in fields(LinkGeometry)))
 
 
 def link_geometry_batch(gs: GeoPoint, lat, lon, alt, wavelength_m: float):
@@ -336,19 +328,14 @@ def link_geometry_batch(gs: GeoPoint, lat, lon, alt, wavelength_m: float):
         arrays and ``valid`` is a boolean mask, False where a receiver
         coincides with the station (those entries hold NaN angles).
     """
-    if gs.alt_m < 0:
+    lat, lon, alt = (np.asarray(c, dtype=float) for c in (lat, lon, alt))
+    if gs.alt_m < 0 or np.any(alt < 0):
         raise RangeError("antenna heights must be >= 0 for reflection geometry")
     if wavelength_m <= 0:
         raise RangeError("wavelength must be positive")
-    lat = np.asarray(lat, dtype=float)
-    lon = np.asarray(lon, dtype=float)
-    alt = np.asarray(alt, dtype=float)
-    if np.any(alt < 0):
-        raise RangeError("antenna heights must be >= 0 for reflection geometry")
-    fields = _link_fields(
+    geom = LinkGeometry(*_link_fields(
         gs.lat_deg, gs.lon_deg, gs.alt_m, lat, lon, alt, wavelength_m
-    )
-    geom = LinkGeometry(*fields)
+    ))
     valid = np.asarray(geom.d_3d) > 0.0
     return geom, valid
 

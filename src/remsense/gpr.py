@@ -186,7 +186,12 @@ def estimate_hyperparameters(samples, corr: CorrelationModel,
     s = SampleSet.from_samples(samples)
     if len(s) < 3:
         raise InsufficientData("need at least three samples to split variance")
-    table = empirical_correlation(s, dh_edges=dh_edges, dv_edges=dv_edges)
+    return _variance_split(
+        empirical_correlation(s, dh_edges=dh_edges, dv_edges=dv_edges))
+
+
+def _variance_split(table):
+    """:func:`estimate_hyperparameters` from a table of >= 3 samples."""
     var_total = table.sigma**2
 
     col = None

@@ -12,7 +12,7 @@ separation still enters every correlation evaluation.  One engine,
 predictors are wrappers over it.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -26,7 +26,6 @@ from .geo import (
     _cross_lags,
     _lag_kernel,
     _lags,
-    _point_columns,
     _target_columns,
 )
 from .shadowing import CorrelationModel, SampleSet
@@ -212,7 +211,8 @@ class NormalScoreTransform:
         for score-domain kriging variance ``mse_u`` and ordinary-kriging
         Lagrange multiplier ``mu``.  Simple kriging has ``mu = 0``: there
         ``mse_u`` is both the SK variance and Var U0 - Var u_hat, so the
-        correction vanishes exactly at sampled locations.
+        correction vanishes exactly at sampled locations.  Arrays go
+        elementwise, with the bits of one scalar call per element.
         """
         return self.inverse(u_hat) + self._phi2 * (mse_u / 2.0 - mu)
 
@@ -244,16 +244,65 @@ def normal_score(sf) -> NormalScoreTransform:
     return NormalScoreTransform(z_nodes, u_nodes, mean_u=float(np.mean(u)))
 
 
-def _krige_batch(s: SampleSet, model: CorrelationModel, lat, lon, alt,
-                 cfg: KrigingConfig, ordinary: bool,
-                 transform: NormalScoreTransform = None) -> KrigingPrediction:
-    """Every target's estimate and variance, for every variant.
+def _predict_in_ball(samples, model: CorrelationModel, target: GeoPoint,
+                     cfg: KrigingConfig,
+                     transform: NormalScoreTransform = None):
+    """:func:`predict` at a target that has a neighbor; raises
+    :class:`NoNeighbors` where :func:`predict` would fall back."""
+    out = predict(samples, model, target, cfg, transform=transform)
+    if out.fallback:
+        raise NoNeighbors(f"no sample within {cfg.radius_m} m of the target")
+    return out
 
-    ``ordinary`` picks the semivariogram system with a Lagrange
-    multiplier over the covariance system around a known mean.  With a
-    ``transform`` the neighbours' normal scores are kriged around
-    ``transform.mean_u`` and the estimates are back-transformed; without
-    one the residuals are kriged around ``cfg.mean_z``.
+
+def ok_predict(samples, model: CorrelationModel, target: GeoPoint,
+               cfg: KrigingConfig) -> KrigingPrediction:
+    """Ordinary-kriging estimate of the residual at ``target``."""
+    return _predict_in_ball(samples, model, target, replace(cfg, variant="OK"))
+
+
+def sk_predict(samples, model: CorrelationModel, target: GeoPoint,
+               cfg: KrigingConfig) -> KrigingPrediction:
+    """Simple-kriging estimate around the known mean ``cfg.mean_z``."""
+    return _predict_in_ball(samples, model, target, replace(cfg, variant="SK"))
+
+
+def tg_predict(samples, model_u: CorrelationModel, target: GeoPoint,
+               cfg: KrigingConfig,
+               transform: NormalScoreTransform) -> KrigingPrediction:
+    """Trans-Gaussian kriging: krige normal scores, back-transform.
+
+    The score field has mean ``transform.mean_u`` and the variance of
+    ``model_u`` (near (0, 1) by construction); the bias correction uses
+    the inverse map's curvature at that global mean.  The returned
+    ``mse`` is the kriging variance in the normal-score domain.
+
+    Raises:
+        ValueError: a variant other than TG_OK or TG_SK, or no
+            ``transform``.
+    """
+    if cfg.variant not in ("TG_OK", "TG_SK"):
+        raise ValueError(f"tg_predict called with variant {cfg.variant!r}")
+    return _predict_in_ball(samples, model_u, target, cfg, transform)
+
+
+def predict_batch(samples, model: CorrelationModel, lat, lon, alt,
+                  cfg: KrigingConfig, transform: NormalScoreTransform = None,
+                  model_u: CorrelationModel = None) -> KrigingPrediction:
+    """Variant dispatcher over target columns, with the no-neighbor fallback.
+
+    ``lat``, ``lon`` and ``alt`` are equal-length target columns (a
+    scalar is one target).  Each target is kriged from the samples
+    within ``cfg.radius_m`` of it, ordered by distance with ties broken
+    by ``seq`` as :func:`select_neighbors` orders them.  OK and TG_OK
+    solve the semivariogram system with a Lagrange multiplier, SK and
+    TG_SK the covariance system around a known mean.  The TG variants
+    krige the neighbours' normal scores around ``transform.mean_u``
+    with ``model_u`` (or ``model`` without one) and back-transform the
+    estimates; OK and SK krige the residuals around ``cfg.mean_z``.
+    Targets with an empty neighborhood fall back to the deterministic
+    model alone (residual 0, the kriged model's prior variance) and are
+    flagged.
 
     The targets are walked in :func:`geo._blocks` over the sample
     count.  Per block, one lag block from the targets to all samples
@@ -262,7 +311,28 @@ def _krige_batch(s: SampleSet, model: CorrelationModel, lat, lon, alt,
     bytes, at most 8n^2 for n samples); each target's system is indexed
     out of it.  Every entry is the value a single-target solve would
     build, so a target's result does not depend on the batch around it.
+
+    Returns:
+        A :class:`KrigingPrediction` of per-target arrays.
+        ``lagrange_mu`` is None for the simple-kriging variants and NaN
+        at fallback targets.  Each target's values are those of
+        :func:`predict` at that target, bit for bit.
+
+    Raises:
+        ValueError: an unknown variant, a TG variant without a
+            ``transform``, or bad target columns.
     """
+    if cfg.variant not in ("OK", "SK", "TG_OK", "TG_SK"):
+        raise ValueError(f"unknown kriging variant {cfg.variant!r}")
+    if not cfg.variant.startswith("TG_"):
+        transform = None
+    elif transform is None:
+        raise ValueError("TG variants need a normal-score transform")
+    else:
+        model = model_u or model
+    ordinary = cfg.variant in ("OK", "TG_OK")
+    s = SampleSet.from_samples(samples)
+    lat, lon, alt = _target_columns(lat, lon, alt)
     n_t = len(lat)
     z_hat = np.zeros(n_t)
     mse = np.full(n_t, model.sigma_z**2)
@@ -310,93 +380,6 @@ def _krige_batch(s: SampleSet, model: CorrelationModel, lat, lon, alt,
                              lagrange_mu=mu, fallback=fallback)
 
 
-def _krige_one(samples, model: CorrelationModel, target: GeoPoint,
-               cfg: KrigingConfig, ordinary: bool,
-               transform: NormalScoreTransform = None) -> KrigingPrediction:
-    """:func:`_krige_batch` at one target.
-
-    Raises:
-        NoNeighbors: when no sample lies within ``cfg.radius_m``.
-    """
-    out = _krige_batch(SampleSet.from_samples(samples), model,
-                       *_point_columns([target]), cfg, ordinary, transform)
-    if out.fallback[0]:
-        raise NoNeighbors(f"no sample within {cfg.radius_m} m of the target")
-    return _record(out)
-
-
-def _record(out: KrigingPrediction) -> KrigingPrediction:
-    """The one-target record of a batch of one."""
-    return KrigingPrediction(
-        z_hat=float(out.z_hat[0]),
-        mse=float(out.mse[0]),
-        neighbors_used=int(out.neighbors_used[0]),
-        lagrange_mu=(None if out.lagrange_mu is None or out.fallback[0]
-                     else float(out.lagrange_mu[0])),
-        fallback=bool(out.fallback[0]),
-    )
-
-
-def ok_predict(samples, model: CorrelationModel, target: GeoPoint,
-               cfg: KrigingConfig) -> KrigingPrediction:
-    """Ordinary-kriging estimate of the residual at ``target``."""
-    return _krige_one(samples, model, target, cfg, ordinary=True)
-
-
-def sk_predict(samples, model: CorrelationModel, target: GeoPoint,
-               cfg: KrigingConfig) -> KrigingPrediction:
-    """Simple-kriging estimate around the known mean ``cfg.mean_z``."""
-    return _krige_one(samples, model, target, cfg, ordinary=False)
-
-
-def tg_predict(samples, model_u: CorrelationModel, target: GeoPoint,
-               cfg: KrigingConfig,
-               transform: NormalScoreTransform) -> KrigingPrediction:
-    """Trans-Gaussian kriging: krige normal scores, back-transform.
-
-    The score field has mean ``transform.mean_u`` and the variance of
-    ``model_u`` (near (0, 1) by construction); the bias correction uses
-    the inverse map's curvature at that global mean.  The returned
-    ``mse`` is the kriging variance in the normal-score domain.
-    """
-    if cfg.variant not in ("TG_OK", "TG_SK"):
-        raise ValueError(f"tg_predict called with variant {cfg.variant!r}")
-    return _krige_one(samples, model_u, target, cfg, cfg.variant == "TG_OK",
-                      transform)
-
-
-def predict_batch(samples, model: CorrelationModel, lat, lon, alt,
-                  cfg: KrigingConfig, transform: NormalScoreTransform = None,
-                  model_u: CorrelationModel = None) -> KrigingPrediction:
-    """Variant dispatcher over target columns, with the no-neighbor fallback.
-
-    ``lat``, ``lon`` and ``alt`` are equal-length target columns (a
-    scalar is one target).  Each target is kriged from the samples
-    within ``cfg.radius_m`` of it, ordered by distance with ties broken
-    by ``seq`` as :func:`select_neighbors` orders them; the TG variants
-    krige with ``model_u`` (or ``model`` without one) and ``transform``.
-    Targets with an empty neighborhood fall back to the deterministic
-    model alone (residual 0, the kriged model's prior variance) and are
-    flagged.
-
-    Returns:
-        A :class:`KrigingPrediction` of per-target arrays.
-        ``lagrange_mu`` is None for the simple-kriging variants and NaN
-        at fallback targets.  Each target's values are those of
-        :func:`predict` at that target, bit for bit.
-    """
-    if cfg.variant not in ("OK", "SK", "TG_OK", "TG_SK"):
-        raise ValueError(f"unknown kriging variant {cfg.variant!r}")
-    trans_gaussian = cfg.variant.startswith("TG_")
-    if trans_gaussian and transform is None:
-        raise ValueError("TG variants need a normal-score transform")
-    kriged = (model_u or model) if trans_gaussian else model
-    return _krige_batch(SampleSet.from_samples(samples), kriged,
-                        *_target_columns(lat, lon, alt), cfg,
-                        cfg.variant in ("OK", "TG_OK"),
-                        transform if trans_gaussian else None)
-
-
 def predict(samples, model: CorrelationModel, target: GeoPoint,
             cfg: KrigingConfig, transform: NormalScoreTransform = None,
             model_u: CorrelationModel = None) -> KrigingPrediction:
@@ -405,6 +388,15 @@ def predict(samples, model: CorrelationModel, target: GeoPoint,
     Targets with an empty neighborhood fall back to the deterministic
     model alone (residual 0, prior variance) and are flagged.
     """
-    return _record(predict_batch(samples, model, target.lat_deg,
-                                 target.lon_deg, target.alt_m, cfg,
-                                 transform=transform, model_u=model_u))
+    out = predict_batch(samples, model, target.lat_deg, target.lon_deg,
+                        target.alt_m, cfg, transform=transform,
+                        model_u=model_u)
+    fallback = bool(out.fallback[0])
+    return KrigingPrediction(
+        z_hat=float(out.z_hat[0]),
+        mse=float(out.mse[0]),
+        neighbors_used=int(out.neighbors_used[0]),
+        lagrange_mu=(None if out.lagrange_mu is None or fallback
+                     else float(out.lagrange_mu[0])),
+        fallback=fallback,
+    )

@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 
 import remsense as rs
+from remsense import evaluation, gpr
 from remsense.evaluation import (
     CampaignValues,
     EvalConfig,
+    fit_residual_model,
     ingest_measurements,
     monte_carlo_eval,
     sweep,
 )
+from remsense.gpr import estimate_hyperparameters
 from remsense.scenes import (
     SceneSpec,
     generate_campaign,
@@ -18,6 +21,7 @@ from remsense.scenes import (
     stack_altitudes,
     write_measurements_csv,
 )
+from remsense.shadowing import empirical_correlation, extract_sf
 
 from conftest import CORR, GS, PROP
 
@@ -133,6 +137,24 @@ def test_worker_count_does_not_change_results(gaussian_campaigns):
         assert one.rmse_db == four.rmse_db
         assert one.elevation_bin_rmse_db == four.elevation_bin_rmse_db
         assert one.counters == four.counters
+
+
+def test_gpr_fit_builds_one_correlation_table(monkeypatch,
+                                             gaussian_campaigns):
+    train, _, _ = gaussian_campaigns
+    samples = extract_sf(train, PROP, GS)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(len(args[0]))
+        return empirical_correlation(*args, **kwargs)
+
+    for module in (evaluation, gpr):
+        monkeypatch.setattr(module, "empirical_correlation", counting)
+    fit = fit_residual_model(samples, "GPR")
+    assert calls == [len(samples)]
+    assert ((fit.sigma_y, fit.sigma_gp)
+            == estimate_hyperparameters(samples, fit.corr))
 
 
 def test_row_order_in_csv_does_not_matter(tmp_path, gaussian_campaigns):

@@ -276,8 +276,7 @@ class TestBatchGeometry:
         assert valid.all()
         for i, p in enumerate(pts):
             g = rs.link_geometry(gs, p, 0.0856)
-            for name in ("d_h", "d_3d", "theta_t", "phi_t", "theta_ref",
-                         "delta_tau", "theta_r1"):
+            for name in (f.name for f in dataclasses.fields(rs.LinkGeometry)):
                 assert getattr(batch, name)[i] == pytest.approx(
                     getattr(g, name), rel=1e-12, abs=1e-12
                 ), name

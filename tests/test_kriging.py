@@ -302,6 +302,9 @@ def test_predict_rejects_unknown_variant_and_missing_transform():
         predict(sf, CORR, tgt, KrigingConfig(radius_m=300.0, variant="IDW"))
     with pytest.raises(ValueError):
         predict(sf, CORR, tgt, KrigingConfig(radius_m=300.0, variant="TG_OK"))
+    with pytest.raises(ValueError):
+        tg_predict(sf, CORR, tgt, KrigingConfig(radius_m=300.0,
+                                                variant="TG_OK"), None)
 
 
 # --------------------------------------------------------- normal scores
@@ -363,6 +366,19 @@ def test_normal_score_collapses_ties():
     assert np.all(np.diff(tr.z_nodes) > 0)
     assert np.all(np.diff(tr.u_nodes) > 0)
     assert np.isscalar(tr.forward(2.0))
+
+
+def test_back_transform_on_arrays_matches_scalar_calls():
+    rng = np.random.default_rng(20)
+    pts = scatter(60, 300.0, seed=20)
+    tr = normal_score(samples_of(pts, rng.lognormal(0, 0.7, 60)))
+    # scores past both end nodes take the linear extrapolation
+    u = rng.normal(0.0, 1.5, 5000)
+    mse = rng.uniform(0.0, 1.0, 5000)
+    mu = rng.normal(0.0, 0.1, 5000)
+    want = [tr.back_transform(float(a), float(b), float(c))
+            for a, b, c in zip(u, mse, mu)]
+    np.testing.assert_array_equal(tr.back_transform(u, mse, mu), want)
 
 
 # ------------------------------------------------------------ trans-Gaussian
