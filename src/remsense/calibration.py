@@ -77,6 +77,12 @@ def _bin_axes(bin_deg: float):
     return az_centers, el_centers
 
 
+def _check_min_support(min_support):
+    # below one sample, empty bins would count as supported at -inf dBi
+    if not min_support >= 1:
+        raise RangeError(f"min_support must be >= 1, got {min_support}")
+
+
 def _bin_index(az, el, bin_deg, n_az, n_el):
     ia = np.floor(np.mod(az, 360.0) / bin_deg).astype(int)
     ia = np.clip(ia, 0, n_az - 1)
@@ -116,9 +122,12 @@ def estimate_effective_pattern(ratios: AmplitudeRatios,
     before converting to dB.
 
     Raises:
+        RangeError: a bin width that does not divide 360 or lies outside
+            (0, 90], or ``min_support`` below 1.
         NoSupportedBins: if no bin reaches ``min_support`` samples.
     """
     az_centers, el_centers = _bin_axes(bin_deg)
+    _check_min_support(min_support)
     n_az, n_el = len(az_centers), len(el_centers)
     if len(ratios) == 0:
         raise NoSupportedBins("no usable samples to bin")
@@ -192,9 +201,14 @@ def delta_gain(effective: BinnedPattern, baseline: AntennaPattern,
 
     Unsupported bins get 0 dB, so the delta degrades gracefully to the
     bench pattern where the campaign saw too few samples.
+
+    Raises:
+        RangeError: ``min_support`` below 1.
+        NoSupportedBins: if no bin reaches ``min_support`` samples.
     """
     if min_support is None:
         min_support = effective.min_support
+    _check_min_support(min_support)
     az_c, el_c = np.meshgrid(effective.az_centers, effective.el_centers,
                              indexing="ij")
     from .patterns import gain_at

@@ -15,6 +15,8 @@ import sys
 import numpy as np
 
 from .calibration import (
+    _bin_axes,
+    _check_min_support,
     delta_gain,
     estimate_a_uav,
     estimate_effective_pattern,
@@ -140,6 +142,11 @@ def _cmd_calibrate(args):
         "calibration_bin_deg", 5.0)
     min_support = args.min_support if args.min_support is not None else doc.get(
         "calibration_min_support", 25)
+    try:
+        _bin_axes(bin_deg)
+        _check_min_support(min_support)
+    except RangeError as exc:
+        raise _ConfigProblem(f"calibrate: {exc}") from None
     measurements = ingest_measurements(args.measurements)
     print(f"read {len(measurements)} measurements")
     ratios = estimate_a_uav(measurements, prop, gs, campaign=args.measurements)

@@ -29,7 +29,7 @@ from .errors import (
     ParseError,
     _read_csv_rows,
 )
-from .geo import GeoPoint, _check_location, _cross_lags
+from .geo import GeoPoint, _check_location
 from .gpr import (
     _variance_split,
     estimate_hyperparameters,
@@ -38,6 +38,7 @@ from .gpr import (
 )
 from .kriging import (
     NormalScoreTransform,
+    _systems,
     normal_score,
     solve_ordinary,
     solve_simple,
@@ -312,6 +313,7 @@ class _TestData:
     lat: np.ndarray
     lon: np.ndarray
     alt: np.ndarray
+    seq: np.ndarray
     rhat: np.ndarray
     elev_bin: np.ndarray
     values: CampaignValues
@@ -328,17 +330,18 @@ def _prepare_test(cfg: EvalConfig, test, delta, values_override=None):
     )
     values = (CampaignValues(test.rsrp) if values_override is None
               else values_override)
-    return _TestData(test.lat, test.lon, test.alt, rhat, elev_bin, values,
-                     len(test))
+    return _TestData(test.lat, test.lon, test.alt, test.seq, rhat, elev_bin,
+                     values, len(test))
 
 
 def _residuals_kriging(cfg, fit, data, s_idx, z_m, t_idx, counters):
     """Krige the residual at each target from its sampled neighbours.
 
-    The TG methods krige normal scores with the score-domain model and
-    back-transform them in one call; without a transform they run as the
-    plain variant.  The lag and model matrices are built once; each target
-    solves on the sampled points within ``cfg.radius_m``, in sample order.
+    The systems are :func:`kriging.predict_batch`'s, from the same
+    neighbour order (distance, then ``seq``), and each estimate is
+    written as it writes it.  The TG methods krige normal scores with
+    the score-domain model and back-transform them in one call; without
+    a transform they run as the plain variant.
     """
     ordinary = cfg.method in ("OK", "TG_OK")
     transform = fit.transform
@@ -348,37 +351,27 @@ def _residuals_kriging(cfg, fit, data, s_idx, z_m, t_idx, counters):
         model = fit.corr_u
         values = np.asarray(transform.forward(z_m), dtype=float)
         mean = transform.mean_u
-    sampled = data.lat[s_idx], data.lon[s_idx], data.alt[s_idx]
-    dh_ss, dv_ss = _cross_lags(*sampled, *sampled)
-    dh_ts, dv_ts = _cross_lags(data.lat[t_idx], data.lon[t_idx],
-                               data.alt[t_idx], *sampled)
-    if ordinary:
-        a_ss = model.semivariogram_at(dh_ss, dv_ss)
-        a_ts = model.semivariogram_at(dh_ts, dv_ts)
-    else:
-        a_ss = model.covariance_at(dh_ss, dv_ss)
-        a_ts = model.covariance_at(dh_ts, dv_ts)
-        centred = values - mean
+    samples = SampleSet(data.lat[s_idx], data.lon[s_idx], data.alt[s_idx],
+                        z_m, data.seq[s_idx])
     out = np.zeros(len(t_idx))
     kriged = np.zeros(len(t_idx), dtype=bool)
     mse = np.zeros(len(t_idx))
     mu = np.zeros(len(t_idx))
-    for k in range(len(t_idx)):
-        nb = np.nonzero(dh_ts[k] <= cfg.radius_m)[0]
-        if nb.size == 0:
-            counters["fallback_targets"] += 1
-            continue
-        a_t = a_ts[k, nb]
+    for k, idx, a_nn, a_t in _systems(samples, model, ordinary,
+                                      data.lat[t_idx], data.lon[t_idx],
+                                      data.alt[t_idx], cfg.radius_m):
+        nb = values[idx]
         if ordinary:
-            w, mu[k] = solve_ordinary(a_ss[np.ix_(nb, nb)], a_t, cfg.jitter)
-            out[k] = w @ values[nb]
+            w, mu[k] = solve_ordinary(a_nn, a_t, cfg.jitter)
+            out[k] = w @ nb
         else:
-            w = solve_simple(a_ss[np.ix_(nb, nb)], a_t, cfg.jitter)
-            out[k] = mean + w @ centred[nb]
+            w = solve_simple(a_nn, a_t, cfg.jitter)
+            out[k] = mean + w @ (nb - mean)
+        kriged[k] = True
         if transform is not None:
-            kriged[k] = True
             var = w @ a_t + mu[k] if ordinary else model.sigma_z**2 - w @ a_t
             mse[k] = max(float(var), 0.0)
+    counters["fallback_targets"] += int(np.count_nonzero(~kriged))
     if transform is not None:
         out[kriged] = transform.back_transform(out[kriged], mse[kriged],
                                                mu[kriged])

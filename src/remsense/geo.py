@@ -138,10 +138,13 @@ def _arc_distance(lat1, lon1, lat2, lon2):
     lat2 = np.asarray(lat2, dtype=float)
     dlon = np.asarray(lon2, dtype=float) - np.asarray(lon1, dtype=float)
     # one term at a time, so that few temporaries of the broadcast
-    # shape are alive at once
-    h = np.sin(np.radians(lat2 - lat1) / 2.0) ** 2
-    h = h + (np.cos(np.radians(lat1)) * np.cos(np.radians(lat2))
-             * np.sin(np.radians(dlon) / 2.0) ** 2)
+    # shape are alive at once; squares are products, since ``** 2`` on
+    # a scalar goes through ``pow`` and may round differently
+    h = np.sin(np.radians(lat2 - lat1) / 2.0)
+    h *= h
+    s = np.sin(np.radians(dlon) / 2.0)
+    s *= s
+    h = h + np.cos(np.radians(lat1)) * np.cos(np.radians(lat2)) * s
     # rounding can push the haversine a hair outside [0, 1]
     h = np.clip(h, 0.0, 1.0)
     return 2.0 * EARTH_RADIUS_M * np.arcsin(np.sqrt(h))

@@ -286,6 +286,45 @@ def tg_predict(samples, model_u: CorrelationModel, target: GeoPoint,
     return _predict_in_ball(samples, model_u, target, cfg, transform)
 
 
+def _systems(s: SampleSet, model: CorrelationModel, ordinary: bool,
+             lat: np.ndarray, lon: np.ndarray, alt: np.ndarray,
+             radius_m: float):
+    """Kriging systems of the targets that have a sample within ``radius_m``.
+
+    Yields ``(t, idx, a_nn, a_t)`` per such target ``t``, in order:
+    ``idx`` indexes its neighbours in ``s`` (:func:`_ball` order),
+    ``a_nn`` is the model matrix among them and ``a_t`` the model
+    vector from them to the target.  The model is the semivariogram when
+    ``ordinary``, else the covariance.
+
+    The targets are walked in :func:`geo._blocks` over the sample
+    count.  Per block, one lag block from the targets to all samples
+    gives each target's neighbours, and the model matrix is built once
+    over the union U of those neighbours (8|U|^2 bytes, at most 8n^2 for
+    n samples); each target's system is indexed out of it.  Every entry
+    is the value a single-target build would give, so a target's system
+    does not depend on the batch around it.
+    """
+    model_at = model.semivariogram_at if ordinary else model.covariance_at
+    for b in _blocks(len(lat), len(s)):
+        dh, dv = _cross_lags(lat[b], lon[b], alt[b], s.lat, s.lon, s.alt)
+        union = np.nonzero((dh <= radius_m).any(axis=0))[0]
+        if union.size == 0:
+            continue
+        a_tn = model_at(dh, dv)
+        # the kernel is exactly symmetric; its transpose is C-ordered,
+        # which makes the row-then-column gathers below cheap
+        a_uu = _lag_kernel(model_at, s.lat[union], s.lon[union],
+                           s.alt[union]).T
+        for row, t in enumerate(range(b.start, b.stop)):
+            idx = _ball(dh[row], s.seq, radius_m)
+            if idx.size == 0:
+                continue
+            pos = np.searchsorted(union, idx)
+            yield (t, idx, a_uu.take(pos, axis=0).take(pos, axis=1),
+                   a_tn[row, idx])
+
+
 def predict_batch(samples, model: CorrelationModel, lat, lon, alt,
                   cfg: KrigingConfig, transform: NormalScoreTransform = None,
                   model_u: CorrelationModel = None) -> KrigingPrediction:
@@ -304,13 +343,9 @@ def predict_batch(samples, model: CorrelationModel, lat, lon, alt,
     model alone (residual 0, the kriged model's prior variance) and are
     flagged.
 
-    The targets are walked in :func:`geo._blocks` over the sample
-    count.  Per block, one lag block from the targets to all samples
-    gives each target's neighbours (:func:`_ball`), and the model
-    matrix is built once over the union U of those neighbours (8|U|^2
-    bytes, at most 8n^2 for n samples); each target's system is indexed
-    out of it.  Every entry is the value a single-target solve would
-    build, so a target's result does not depend on the batch around it.
+    The systems come from :func:`_systems`, which builds each one out of
+    a per-block model matrix, so a target's result does not depend on
+    the batch around it.
 
     Returns:
         A :class:`KrigingPrediction` of per-target arrays.
@@ -343,34 +378,18 @@ def predict_batch(samples, model: CorrelationModel, lat, lon, alt,
     if transform is not None:
         values = np.asarray(transform.forward(values), dtype=float)
         mean = transform.mean_u
-    model_at = model.semivariogram_at if ordinary else model.covariance_at
-    for b in _blocks(n_t, len(s)):
-        dh, dv = _cross_lags(lat[b], lon[b], alt[b], s.lat, s.lon, s.alt)
-        union = np.nonzero((dh <= cfg.radius_m).any(axis=0))[0]
-        if union.size == 0:
-            continue
-        a_tn = model_at(dh, dv)
-        # the kernel is exactly symmetric; its transpose is C-ordered,
-        # which makes the row-then-column gathers below cheap
-        a_uu = _lag_kernel(model_at, s.lat[union], s.lon[union],
-                           s.alt[union]).T
-        for row, t in enumerate(range(b.start, b.stop)):
-            idx = _ball(dh[row], s.seq, cfg.radius_m)
-            if idx.size == 0:
-                continue
-            pos = np.searchsorted(union, idx)
-            a_nn = a_uu.take(pos, axis=0).take(pos, axis=1)
-            a_t = a_tn[row, idx]
-            nb = values[idx]
-            if ordinary:
-                w, mu[t] = solve_ordinary(a_nn, a_t, cfg.jitter)
-                z_hat[t] = w @ nb
-                mse[t] = max(float(w @ a_t + mu[t]), 0.0)
-            else:
-                w = solve_simple(a_nn, a_t, cfg.jitter)
-                z_hat[t] = mean + w @ (nb - mean)
-                mse[t] = max(float(model.sigma_z**2 - w @ a_t), 0.0)
-            used[t] = idx.size
+    for t, idx, a_nn, a_t in _systems(s, model, ordinary, lat, lon, alt,
+                                      cfg.radius_m):
+        nb = values[idx]
+        if ordinary:
+            w, mu[t] = solve_ordinary(a_nn, a_t, cfg.jitter)
+            z_hat[t] = w @ nb
+            mse[t] = max(float(w @ a_t + mu[t]), 0.0)
+        else:
+            w = solve_simple(a_nn, a_t, cfg.jitter)
+            z_hat[t] = mean + w @ (nb - mean)
+            mse[t] = max(float(model.sigma_z**2 - w @ a_t), 0.0)
+        used[t] = idx.size
     fallback = used == 0
     if transform is not None:
         kriged = ~fallback

@@ -186,11 +186,14 @@ def sector_blockage_delta(az_lo_deg: float, az_hi_deg: float, loss_db: float,
     Returns an object usable wherever a calibrated gain delta is
     accepted (it exposes ``delta_at``).  Handy for simulating a blocked
     or detuned sector of the receiver antenna.
-    """
-    from .calibration import CalibratedDelta
 
-    az_centers = np.arange(bin_deg / 2, 360.0, bin_deg)
-    el_centers = np.arange(-90.0 + bin_deg / 2, 90.0, bin_deg)
+    Raises:
+        RangeError: a bin width that does not divide 360 or lies outside
+            (0, 90].
+    """
+    from .calibration import CalibratedDelta, _bin_axes
+
+    az_centers, el_centers = _bin_axes(bin_deg)
     delta = np.zeros((len(az_centers), len(el_centers)))
     lo = az_lo_deg % 360.0
     hi = az_hi_deg % 360.0

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -138,6 +140,28 @@ def test_bin_width_validation():
     for bad in (7.0, 0.0, 91.0, -5.0):
         with pytest.raises(rs.RangeError):
             estimate_effective_pattern(ratios, FRIIS.gs_pattern, bin_deg=bad)
+
+
+def test_min_support_below_one_rejected():
+    lat, lon, alt = direction_sweep(100, seed=64)
+    ratios = estimate_a_uav(synth_measurements(lat, lon, alt), FRIIS, GS)
+    for bad in (0, -1):
+        with pytest.raises(rs.RangeError, match="min_support"):
+            estimate_effective_pattern(ratios, FRIIS.gs_pattern, bin_deg=10.0,
+                                       min_support=bad)
+
+
+def test_delta_gain_min_support_below_one_rejected():
+    lat, lon, alt = direction_sweep(100, seed=65)
+    ratios = estimate_a_uav(synth_measurements(lat, lon, alt), FRIIS, GS)
+    eff = estimate_effective_pattern(ratios, FRIIS.gs_pattern, bin_deg=10.0,
+                                     min_support=1)
+    for bad in (0, -1):
+        with pytest.raises(rs.RangeError, match="min_support"):
+            delta_gain(eff, DIPOLE, min_support=bad)
+    # a pattern built at a threshold below one is rejected the same way
+    with pytest.raises(rs.RangeError, match="min_support"):
+        delta_gain(dataclasses.replace(eff, min_support=0), DIPOLE)
 
 
 # -------------------------------------------------------------- delta table

@@ -156,6 +156,30 @@ def test_calibrate_recovers_null_correction(work, tmp_path):
     assert np.max(np.abs(delta.delta_db[delta.supported])) <= 1e-6
 
 
+def test_calibrate_bad_binning_exits_before_reading(work, tmp_path, capsys):
+    out = tmp_path / "delta.csv"
+    doc = json.loads((work / "config.json").read_text())
+    bad_keys = []
+    for key, value in (("calibration_bin_deg", 7), ("calibration_min_support",
+                                                    0)):
+        path = tmp_path / f"bad_{key}.json"
+        path.write_text(json.dumps({**doc, key: value}))
+        bad_keys.append(str(path))
+    config = str(work / "config.json")
+    for extra, message in [
+            (["--bin-deg", "7"], "bin width must divide 360"),
+            (["--bin-deg", "0"], "bin width must divide 360"),
+            (["--min-support", "0"], "min_support must be >= 1"),
+            (["--min-support", "-3"], "min_support must be >= 1"),
+            (["--config", bad_keys[0]], "bin width must divide 360"),
+            (["--config", bad_keys[1]], "min_support must be >= 1")]:
+        assert main(["calibrate", "--measurements",
+                     str(tmp_path / "none.csv"), "--config", config,
+                     "--out", str(out)] + extra) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_reconstruct_deterministic_grid(work, tmp_path):
     out = tmp_path / "grid.csv"
     code = main(["reconstruct", "--measurements", str(work / "quiet.csv"),

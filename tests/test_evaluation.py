@@ -209,6 +209,40 @@ def test_tiny_radius_falls_back_to_deterministic(gaussian_campaigns):
     assert ok.rmse_db == trpl.rmse_db
 
 
+@pytest.mark.parametrize("radius_m", [70.0, 200.0])
+@pytest.mark.parametrize("method", ["OK", "SK", "TG_OK", "TG_SK"])
+def test_kriged_residuals_equal_predict_batch(monkeypatch, gaussian_campaigns,
+                                              method, radius_m):
+    train, test, _ = gaussian_campaigns
+    draws = []
+
+    def recording(cfg, fit, data, s_idx, z_m, t_idx, counters):
+        out = residuals(cfg, fit, data, s_idx, z_m, t_idx, counters)
+        draws.append((fit, data, s_idx, z_m, t_idx, out))
+        return out
+
+    residuals = evaluation._residuals_kriging
+    monkeypatch.setattr(evaluation, "_residuals_kriging", recording)
+    report = monte_carlo_eval(base_cfg(test, train, method=method,
+                                       radius_m=radius_m, iterations=30))
+    assert len(draws) == 30
+    fallbacks = 0
+    for fit, data, s_idx, z_m, t_idx, out in draws:
+        samples = rs.SampleSet(data.lat[s_idx], data.lon[s_idx],
+                               data.alt[s_idx], z_m, data.seq[s_idx])
+        kcfg = rs.KrigingConfig(radius_m=radius_m, variant=method,
+                                mean_z=fit.mean_z)
+        batch = rs.kriging.predict_batch(
+            samples, fit.corr, data.lat[t_idx], data.lon[t_idx],
+            data.alt[t_idx], kcfg, transform=fit.transform,
+            model_u=fit.corr_u)
+        assert np.array_equal(out, batch.z_hat)
+        fallbacks += int(np.count_nonzero(batch.fallback))
+    assert fallbacks == report.counters["fallback_targets"]
+    # the zigzag's legs leave targets more than 70 m from any sample
+    assert (fallbacks > 0) == (radius_m == 70.0)
+
+
 def test_elevation_bins_match_geometry(gaussian_campaigns):
     train, test, _ = gaussian_campaigns
     report = monte_carlo_eval(base_cfg(test, train, iterations=4))

@@ -92,13 +92,19 @@ class TestLags:
                 120.0 * rng.random(n))
 
     def test_pairwise_matches_point_distances(self):
-        a, b = self._columns(0, 12), self._columns(1, 12)
+        # a 0.1 degree square: on a few of its pairs, squaring a scalar
+        # haversine term with ``** 2`` (libm pow) and an array one (a
+        # product) round differently
+        rng = np.random.default_rng(7)
+        a, b = ((35.7 + 0.1 * rng.random(5000), -78.75 + 0.1 * rng.random(5000),
+                 120.0 * rng.random(5000)) for _ in range(2))
         d_h, d_v = _lags(*a, *b)
-        for k, (pa, pb) in enumerate(zip(zip(*a), zip(*b))):
-            pa, pb = rs.GeoPoint(*pa), rs.GeoPoint(*pb)
-            assert d_h[k] == pytest.approx(rs.horizontal_distance(pa, pb),
-                                           rel=1e-12)
-            assert d_v[k] == rs.vertical_distance(pa, pb)
+        pairs = [(rs.GeoPoint(*pa), rs.GeoPoint(*pb))
+                 for pa, pb in zip(zip(*a), zip(*b))]
+        assert np.array_equal(
+            d_h, [rs.horizontal_distance(pa, pb) for pa, pb in pairs])
+        assert np.array_equal(
+            d_v, [rs.vertical_distance(pa, pb) for pa, pb in pairs])
 
     def test_cross_shape_and_entries(self):
         a, b = self._columns(2, 5), self._columns(3, 7)

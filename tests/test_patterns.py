@@ -158,6 +158,14 @@ class TestSectorDelta:
         assert delta.delta_at(60.0, 10.0) == pytest.approx(-6.0)
         assert delta.delta_at(120.0, 10.0) == 0.0
 
+    def test_bin_width_validation(self):
+        for bad in (0.0, 7.0, 91.0, -5.0):
+            with pytest.raises(rs.RangeError):
+                rs.sector_blockage_delta(40.0, 80.0, -6.0, bin_deg=bad)
+        delta = rs.sector_blockage_delta(40.0, 80.0, -6.0, bin_deg=10.0)
+        assert delta.delta_db.shape == (36, 18)
+        assert delta.bin_deg == 10.0
+
     def test_vectorized(self):
         delta = rs.sector_blockage_delta(40.0, 80.0, -6.0)
         out = delta.delta_at(np.array([60.0, 300.0]), np.array([0.0, 0.0]))
