@@ -21,7 +21,13 @@ from typing import Optional
 
 import numpy as np
 
-from .calibration import delta_gain, estimate_a_uav, estimate_effective_pattern
+from .calibration import (
+    _bin_axes,
+    _check_min_support,
+    delta_gain,
+    estimate_a_uav,
+    estimate_effective_pattern,
+)
 from .completion import McAssistedGpr, McConfig, _check_one_altitude
 from .errors import (
     FitDiverged,
@@ -29,12 +35,13 @@ from .errors import (
     ParseError,
     _read_csv_rows,
 )
-from .geo import GeoPoint, _check_location
+from .geo import _BLOCK_ELEMENTS, GeoPoint, _check_location
 from .gpr import (
+    _cov_rows,
+    _mean,
     _variance_split,
     estimate_hyperparameters,
     gpr_fit,
-    gpr_predict_mean,
 )
 from .kriging import (
     NormalScoreTransform,
@@ -59,6 +66,8 @@ from .shadowing import (
 METHODS = ("TRPL_only", "OK", "SK", "TG_OK", "TG_SK", "GPR", "MC_GPR")
 ELEVATION_BIN_DEG = 10.0
 ELEVATION_BIN_COUNT = 9  # centers 5, 15, ..., 85 degrees
+# values in the GPR covariance table of a test campaign: n <= 2896 rows
+_COV_TABLE_ELEMENTS = 8 * _BLOCK_ELEMENTS
 
 
 @dataclass(frozen=True)
@@ -106,6 +115,10 @@ class EvalConfig:
             raise ValueError(f"radius_m must be positive, got {self.radius_m}")
         if self.jitter < 0.0:
             raise ValueError(f"jitter must be >= 0, got {self.jitter}")
+        if self.calibrated and self.delta is None:
+            # RangeError, a ValueError: caught before any campaign is read
+            _bin_axes(self.calibration_bin_deg)
+            _check_min_support(self.calibration_min_support)
 
 
 @dataclass
@@ -318,6 +331,9 @@ class _TestData:
     elev_bin: np.ndarray
     values: CampaignValues
     n: int
+    # GPR and MC_GPR: latent covariance among all rows, or None above
+    # _COV_TABLE_ELEMENTS
+    cov: Optional[np.ndarray] = None
 
 
 def _prepare_test(cfg: EvalConfig, test, delta, values_override=None):
@@ -379,11 +395,25 @@ def _residuals_kriging(cfg, fit, data, s_idx, z_m, t_idx, counters):
 
 
 def _residuals_gpr(cfg, fit, data, s_idx, z_m, t_idx, counters):
+    """GPR or MC_GPR residuals at the targets, from a fit on the samples.
+
+    The fit's kernel and the GPR mean's cross-covariance are the sampled
+    rows of the test campaign's covariance table, or, without a table,
+    those rows built for this draw; both give :func:`gpr_fit` and
+    :func:`gpr_predict_mean`'s bits.  Without a table MC_GPR reads only
+    the fit, so :func:`gpr_fit` builds just its M x M kernel.
+    """
+    rows = data.cov[s_idx] if data.cov is not None else None
+    if rows is None and cfg.method == "GPR":
+        rows = _cov_rows(fit.corr, fit.sigma_y, data.lat, data.lon, data.alt,
+                         rows=s_idx)
     train = SampleSet(data.lat[s_idx], data.lon[s_idx], data.alt[s_idx], z_m)
-    model = gpr_fit(train, fit.corr, fit.sigma_y, fit.sigma_gp)
+    model = gpr_fit(train, fit.corr, fit.sigma_y, fit.sigma_gp,
+                    _kernel=None if rows is None
+                    else np.asfortranarray(rows[:, s_idx]))
     if cfg.method == "GPR":
-        return gpr_predict_mean(model, data.lat[t_idx], data.lon[t_idx],
-                                data.alt[t_idx])
+        # C order, as gpr_predict_mean lays out its cross-covariance
+        return _mean(model, rows.take(t_idx, axis=1))
     pipeline = McAssistedGpr(model, cfg.mc)
     counters["variance_clamps"] += model.clamp_events
     if not pipeline.mc.converged:
@@ -417,6 +447,12 @@ def monte_carlo_eval(cfg: EvalConfig, test_values: CampaignValues = None
                      ) -> EvaluationReport:
     """Run the sparse-sampling protocol and report RMSE statistics.
 
+    GPR and MC_GPR build the latent covariance among all n test rows
+    once, 8 n^2 bytes, when n <= 2896 (64 MB); above that each draw
+    builds only what it reads, the rows of its M samples for GPR and
+    their M x M kernel for MC_GPR.  Either way the reports agree bit
+    for bit.
+
     Args:
         cfg: protocol settings.
         test_values: optional replacement for the test campaign's value
@@ -443,6 +479,10 @@ def monte_carlo_eval(cfg: EvalConfig, test_values: CampaignValues = None
     _check_disjoint(train, test)
     delta, fit = _fit_from_train(cfg, train)
     data = _prepare_test(cfg, test, delta, values_override=test_values)
+    if (cfg.method in ("GPR", "MC_GPR")
+            and data.n * data.n <= _COV_TABLE_ELEMENTS):
+        data.cov = _cov_rows(fit.corr, fit.sigma_y, data.lat, data.lon,
+                             data.alt)
 
     rmse = np.empty(cfg.iterations)
     bin_rmse = np.full((cfg.iterations, ELEVATION_BIN_COUNT), np.nan)

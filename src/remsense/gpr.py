@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import linalg
+from scipy.linalg import blas
 
 from .errors import (DuplicateLocations, InsufficientData, SingularSystem,
                      TooManyPoints)
@@ -48,11 +49,15 @@ def _latent_cov(corr: CorrelationModel, sigma_y):
 
 
 def gpr_fit(samples, corr: CorrelationModel, sigma_y: float,
-            sigma_gp: float) -> GprModel:
+            sigma_gp: float, *, _kernel=None) -> GprModel:
     """Factorize the training covariance and precompute the mean solve.
 
     The n x n kernel is allocated once, filled in column blocks and
-    factorized in place, so the fit peaks at about 8 n^2 bytes.
+    factorized in place, so the fit peaks at about 8 n^2 bytes.  A
+    caller that already holds the latent covariance among the samples,
+    as :func:`_cov_rows` builds it, passes it as ``_kernel`` (n x n,
+    Fortran order); it is overwritten by the factor instead of a
+    kernel being built.
 
     Args:
         samples: residual samples (list of SfSample or a SampleSet).
@@ -65,7 +70,8 @@ def gpr_fit(samples, corr: CorrelationModel, sigma_y: float,
             which make the kernel matrix exactly singular.
         InsufficientData: empty training set.
         ValueError: negative standard deviations, or samples, standard
-            deviations or correlation parameters that are not finite.
+            deviations or correlation parameters that are not finite,
+            or a ``_kernel`` that is not n x n.
         TooManyPoints: more than ``MAX_FIT_POINTS`` (12,000) samples,
             whose kernel alone would take over 1.15 GB.
     """
@@ -84,9 +90,12 @@ def gpr_fit(samples, corr: CorrelationModel, sigma_y: float,
     if not (np.isfinite(params).all()
             and all(np.isfinite(c).all() for c in (s.lat, s.lon, s.alt, s.z))):
         raise ValueError("samples, sigmas and correlation must be finite")
+    if _kernel is not None and np.shape(_kernel) != (n, n):
+        raise ValueError(f"kernel of shape {np.shape(_kernel)} for {n} samples")
     if sigma_gp == 0.0:
         _check_duplicates(s)
-    k = _lag_kernel(_latent_cov(corr, sigma_y), s.lat, s.lon, s.alt)
+    k = (_lag_kernel(_latent_cov(corr, sigma_y), s.lat, s.lon, s.alt)
+         if _kernel is None else _kernel)
     k[np.diag_indices_from(k)] += sigma_gp**2
     try:
         cho = linalg.cho_factor(k, lower=True, overwrite_a=True,
@@ -109,6 +118,31 @@ def _check_duplicates(s: SampleSet):
         raise DuplicateLocations(
             int(s.seq[order[at]]), int(s.seq[order[at + 1]])
         )
+
+
+def _cov_rows(corr: CorrelationModel, sigma_y, lat, lon, alt,
+              rows=slice(None)):
+    """Latent covariance from the points ``rows`` (default: all) of 1-D
+    columns to every point, a C-ordered ``(len(rows), n)`` matrix.
+
+    Each entry has the bits that :func:`gpr_fit`'s kernel and
+    :func:`gpr_predict_mean`'s cross-covariance give the same two
+    points, since swapping the two points of :func:`geo._lags` gives the
+    same bits.  So a fit on rows ``s`` can take
+    ``np.asfortranarray(out[s][:, s])`` as its kernel and
+    ``out[s].take(t, axis=1)`` as the cross-covariance to targets ``t``.
+    """
+    cov_at = _latent_cov(corr, sigma_y)
+    r = (lat[rows], lon[rows], alt[rows])
+    out = np.empty((r[0].size, lat.size))
+    for b in _blocks(lat.size, r[0].size):
+        out[:, b] = cov_at(*_cross_lags(*r, lat[b], lon[b], alt[b]))
+    return out
+
+
+def _mean(model: GprModel, k0):
+    """Posterior mean at the targets of a cross-covariance block."""
+    return k0.T @ model._alpha
 
 
 def _cross_cov_blocks(model: GprModel, lat, lon, alt):
@@ -135,7 +169,7 @@ def gpr_predict_mean(model: GprModel, lat, lon, alt) -> np.ndarray:
     lat, lon, alt = _target_columns(lat, lon, alt)
     z_hat = np.empty(lat.size)
     for b, k0 in _cross_cov_blocks(model, lat, lon, alt):
-        z_hat[b] = k0.T @ model._alpha
+        z_hat[b] = _mean(model, k0)
     return z_hat
 
 
@@ -155,9 +189,13 @@ def gpr_predict_batch(model: GprModel, lat, lon, alt):
     z_hat = np.empty(lat.size)
     var = np.empty(lat.size)
     for b, k0 in _cross_cov_blocks(model, lat, lon, alt):
-        z_hat[b] = k0.T @ model._alpha
-        w = linalg.cho_solve(model._cho, k0, check_finite=False)
-        var[b] = model.prior_variance - np.einsum("ij,ij->j", k0, w)
+        z_hat[b] = _mean(model, k0)
+        # prior - |L^-1 k0|^2 takes one triangular solve: the rows of v
+        # solve v L^T = k0^T, and BLAS overwrites the Fortran-ordered
+        # k0.T without a copy
+        v = blas.dtrsm(1.0, model._cho[0], k0.T, side=1, lower=1,
+                       trans_a=1, overwrite_b=1)
+        var[b] = model.prior_variance - np.einsum("ij,ij->i", v, v)
     below = var < 0.0
     if np.any(below):
         model.clamp_events += int(np.count_nonzero(below))

@@ -180,6 +180,21 @@ def test_calibrate_bad_binning_exits_before_reading(work, tmp_path, capsys):
         assert not out.exists()
 
 
+def test_calibrated_eval_bad_binning_exits_before_reading(work, tmp_path,
+                                                        capsys):
+    doc = json.loads((work / "eval_config.json").read_text())
+    missing = str(tmp_path / "none.csv")
+    for key, value, message in (
+            ("calibration_bin_deg", 7, "bin width must divide 360"),
+            ("calibration_min_support", 0, "min_support must be >= 1")):
+        path = tmp_path / f"bad_{key}.json"
+        path.write_text(json.dumps({**doc, key: value}))
+        assert main(["eval", "--config", str(path), "--calibrated",
+                     "--test", missing, "--train", missing,
+                     "--iterations", "1"]) == 2
+        assert message in capsys.readouterr().err
+
+
 def test_reconstruct_deterministic_grid(work, tmp_path):
     out = tmp_path / "grid.csv"
     code = main(["reconstruct", "--measurements", str(work / "quiet.csv"),

@@ -243,6 +243,83 @@ def test_kriged_residuals_equal_predict_batch(monkeypatch, gaussian_campaigns,
     assert (fallbacks > 0) == (radius_m == 70.0)
 
 
+# calibrated runs bin the train campaign's directions at 10 degrees: the
+# lawnmower fills no 5-degree bin with 25 samples
+CALIBRATED = dict(calibrated=True, calibration_bin_deg=10.0,
+                  calibration_min_support=5)
+
+
+@pytest.mark.parametrize("method,iterations", [("GPR", 6), ("MC_GPR", 2)])
+@pytest.mark.parametrize("calibrated", [False, True])
+def test_covariance_table_does_not_change_reports(monkeypatch,
+                                                  gaussian_campaigns, method,
+                                                  iterations, calibrated):
+    train, test, _ = gaussian_campaigns
+    tables = []
+
+    def recording(*args, **kwargs):
+        tables.append("rows" not in kwargs)
+        return cov_rows(*args, **kwargs)
+
+    cov_rows = evaluation._cov_rows
+    monkeypatch.setattr(evaluation, "_cov_rows", recording)
+    cfg = base_cfg(test, train, method=method, iterations=iterations,
+                   **(CALIBRATED if calibrated else {}))
+    with_table = monte_carlo_eval(cfg)
+    assert tables == [True]
+    monkeypatch.setattr(evaluation, "_COV_TABLE_ELEMENTS", 0)
+    without = monte_carlo_eval(cfg)
+    # without the table a GPR draw builds its sampled rows, and an
+    # MC_GPR draw leaves its M x M kernel to gpr_fit
+    assert tables == [True] + [False] * (iterations if method == "GPR" else 0)
+    assert with_table.to_dict() == without.to_dict()
+
+
+@pytest.mark.parametrize("table", [True, False])
+def test_gpr_residuals_equal_public_fit_and_mean(monkeypatch,
+                                                 gaussian_campaigns, table):
+    train, test, _ = gaussian_campaigns
+    draws = []
+
+    def recording(cfg, fit, data, s_idx, z_m, t_idx, counters):
+        out = residuals(cfg, fit, data, s_idx, z_m, t_idx, counters)
+        draws.append((fit, data, s_idx, z_m, t_idx, out))
+        return out
+
+    residuals = evaluation._residuals_gpr
+    monkeypatch.setattr(evaluation, "_residuals_gpr", recording)
+    if not table:
+        monkeypatch.setattr(evaluation, "_COV_TABLE_ELEMENTS", 0)
+    monte_carlo_eval(base_cfg(test, train, method="GPR", iterations=30))
+    assert len(draws) == 30
+    for fit, data, s_idx, z_m, t_idx, out in draws:
+        assert (data.cov is not None) == table
+        model = gpr.gpr_fit(
+            rs.SampleSet(data.lat[s_idx], data.lon[s_idx], data.alt[s_idx],
+                         z_m),
+            fit.corr, fit.sigma_y, fit.sigma_gp)
+        mean = gpr.gpr_predict_mean(model, data.lat[t_idx], data.lon[t_idx],
+                                    data.alt[t_idx])
+        assert np.array_equal(out, mean)
+
+
+def test_gpr_eval_builds_one_table_and_no_lags_per_draw(monkeypatch,
+                                                        gaussian_campaigns):
+    train, test, _ = gaussian_campaigns
+    calls = {}
+    for name in ("_lag_kernel", "_cross_lags", "_grid_lags"):
+        def counting(*args, _name=name, _f=getattr(gpr, name)):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _f(*args)
+        monkeypatch.setattr(gpr, name, counting)
+    for iterations in (3, 9):
+        calls.clear()
+        monte_carlo_eval(base_cfg(test, train, method="GPR",
+                                  iterations=iterations))
+        # one 320 x 320 block: the table
+        assert calls == {"_cross_lags": 1}
+
+
 def test_elevation_bins_match_geometry(gaussian_campaigns):
     train, test, _ = gaussian_campaigns
     report = monte_carlo_eval(base_cfg(test, train, iterations=4))
@@ -275,6 +352,11 @@ def test_validation_errors(gaussian_campaigns):
     with pytest.raises(ValueError):
         monte_carlo_eval(base_cfg(test, method="TRPL_only", calibrated=True,
                                   iterations=1))
+    # a calibrated eval checks its binning before it reads a campaign
+    for bad, message in ((dict(calibration_bin_deg=7.0), "divide 360"),
+                         (dict(calibration_min_support=0), "min_support")):
+        with pytest.raises(rs.RangeError, match=message):
+            base_cfg("missing.csv", "missing.csv", calibrated=True, **bad)
     for bad in (dict(method="IDW"), dict(m_samples=0), dict(iterations=0),
                 dict(workers=0), dict(radius_m=0.0), dict(radius_m=-5.0),
                 dict(jitter=-1.0)):

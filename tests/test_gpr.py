@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import linalg
 
 import remsense as rs
 from remsense import geo, gpr
@@ -214,6 +215,43 @@ def test_grid_targets_take_the_grid_lags_with_the_same_bits(monkeypatch):
     for got, want in zip(grid[:3], scattered[:3]):
         assert np.array_equal(got, want)
     assert grid[3] == scattered[3] > 0
+
+
+def test_fit_on_a_given_kernel_is_the_built_fit():
+    pts = uniform_points(100, 300.0, seed=46)
+    lat, lon, alt = coords(pts)
+    z = field_of(pts, CORR, 2.0, seed=46)
+    # a fit on 60 of the points, its kernel indexed out of their table
+    s = np.random.default_rng(46).choice(100, 60, replace=False)
+    train = samples_of([pts[i] for i in s], z[s])
+    built = gpr_fit(train, CORR, sigma_y=2.0, sigma_gp=0.5)
+    table = gpr._cov_rows(CORR, 2.0, lat, lon, alt)
+    for kernel in (table[s][:, s],
+                   gpr._cov_rows(CORR, 2.0, lat, lon, alt, rows=s)[:, s]):
+        given = gpr_fit(train, CORR, sigma_y=2.0, sigma_gp=0.5,
+                        _kernel=np.asfortranarray(kernel))
+        assert np.array_equal(given._cho[0], built._cho[0])
+        assert np.array_equal(given._alpha, built._alpha)
+    with pytest.raises(ValueError, match="kernel of shape"):
+        gpr_fit(train, CORR, sigma_y=2.0, sigma_gp=0.5,
+                _kernel=np.asfortranarray(table[s[1:]][:, s[1:]]))
+
+
+def test_variance_is_the_two_solve_formula():
+    pts = uniform_points(80, 300.0, seed=47)
+    m = gpr_fit(samples_of(pts, field_of(pts, CORR, 2.0, seed=47)), CORR,
+                sigma_y=2.0, sigma_gp=0.7)
+    spec = rs.GridSpec(origin=offset_point(GS, 30.0, 40.0, 60.0),
+                       spacing_m=11.0, n_rows=21, n_cols=25, alt_m=60.0)
+    lat, lon = (g.ravel() for g in spec.node_latlon())
+    grid = (lat, lon, np.full(lat.size, 60.0))
+    for targets in (coords(uniform_points(300, 320.0, seed=48)), grid):
+        _, var = gpr_predict_batch(m, *targets)
+        k0 = gpr._latent_cov(CORR, 2.0)(*geo._cross_lags(
+            m.train.lat, m.train.lon, m.train.alt, *targets))
+        w = linalg.cho_solve(m._cho, k0)
+        want = m.prior_variance - np.einsum("ij,ij->j", k0, w)
+        np.testing.assert_allclose(var, want, rtol=1e-12, atol=0.0)
 
 
 def test_predict_memory_does_not_grow_with_targets():
