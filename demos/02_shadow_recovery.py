@@ -9,8 +9,7 @@ blind, and then compare kriging variants on held-out points.
 import numpy as np
 
 import remsense as rs
-from remsense.evaluation import fit_residual_model
-from remsense.kriging import KrigingConfig, predict_batch
+from remsense.evaluation import fit_residual_model, predict_residuals
 from remsense.shadowing import extract_sf
 
 GS = rs.GeoPoint(35.72, -78.70, 10.0)
@@ -29,8 +28,9 @@ values = sf.z
 print(f"shadowing residuals: mean {values.mean():+.3f} dB, "
       f"sd {values.std(ddof=1):.3f} dB (generator sigma_z = 3)")
 
-# hold out every 7th sample; fit on the rest (the same fit `remsense eval`
-# and `remsense reconstruct` use) and predict the held-out ones from it
+# hold out every 7th sample; fit on the rest and predict the held-out ones
+# from it, with the fit and the predictors `remsense eval` and
+# `remsense reconstruct` use
 held = sf[::7]
 rest = sf[np.arange(len(sf)) % 7 != 0]
 fit = fit_residual_model(rest, "TG_OK")
@@ -41,16 +41,10 @@ print(f"  a={fitted.a:.3f}  p1={fitted.p1:.4f}  p2={fitted.p2:.4f}  "
 print(f"  normal scores: a={scores.a:.3f}  p1={scores.p1:.4f}  "
       f"p2={scores.p2:.4f}  q={scores.q:.3f}  sigma_u={scores.sigma_z:.3f}")
 
-configs = {
-    "OK": KrigingConfig(radius_m=200.0),
-    "SK": KrigingConfig(radius_m=200.0, variant="SK", mean_z=fit.mean_z),
-    "TG_OK": KrigingConfig(radius_m=200.0, variant="TG_OK"),
-}
 errors = {
-    name: predict_batch(rest, fitted, held.lat, held.lon, held.alt, cfg,
-                        transform=fit.transform, model_u=fit.corr_u).z_hat
-    - held.z
-    for name, cfg in configs.items()
+    name: predict_residuals(name, fit, rest, held.lat, held.lon, held.alt,
+                            radius_m=200.0, mc=rs.McConfig()) - held.z
+    for name in ("OK", "SK", "TG_OK")
 }
 
 print(f"hold-out check on {len(held)} points (residual sd would be "

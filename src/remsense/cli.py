@@ -23,7 +23,7 @@ from .calibration import (
     read_delta_csv,
     write_delta_csv,
 )
-from .completion import McAssistedGpr, McConfig, build_grid
+from .completion import McConfig, build_grid
 from .errors import RangeError, RemSenseError
 from .evaluation import (
     METHODS,
@@ -32,10 +32,9 @@ from .evaluation import (
     fit_residual_model,
     ingest_measurements,
     monte_carlo_eval,
+    predict_residuals,
     sweep,
 )
-from .gpr import gpr_fit, gpr_predict_mean
-from .kriging import KrigingConfig, predict_batch
 from .scenes import (
     _corr_from_dict,
     _corr_to_dict,
@@ -195,25 +194,10 @@ def _cmd_reconstruct(args):
     alt_q = np.full(lat_q.shape, spec.alt_m)
     _, rhat = _predicted_power(prop, gs, lat_q, lon_q, alt_q, delta)
 
-    z_hat = np.zeros(lat_q.size)
-    if method != "TRPL_only":
-        fit = fit_residual_model(samples, method)
-        if method in ("GPR", "MC_GPR"):
-            model = gpr_fit(samples, fit.corr, fit.sigma_y, fit.sigma_gp)
-            if method == "GPR":
-                z_hat = gpr_predict_mean(model, lat_q, lon_q, alt_q)
-            else:
-                pipeline = McAssistedGpr(model, mc)
-                z_hat = pipeline.predict(lat_q, lon_q)
-        else:
-            variant = (method if fit.transform is not None
-                       else method.replace("TG_", ""))
-            kcfg = KrigingConfig(radius_m=radius_m, variant=variant,
-                                 mean_z=fit.mean_z)
-            z_hat = predict_batch(samples, fit.corr, lat_q, lon_q, alt_q,
-                                  kcfg, transform=fit.transform,
-                                  model_u=fit.corr_u).z_hat
-
+    fit = (None if method == "TRPL_only"
+           else fit_residual_model(samples, method))
+    z_hat = predict_residuals(method, fit, samples, lat_q, lon_q, alt_q,
+                              radius_m=radius_m, mc=mc)
     power = rhat + z_hat
     with open(args.out, "w", newline="") as fh:
         fh.write("lat_deg,lon_deg,alt_m,power_dbm\n")

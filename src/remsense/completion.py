@@ -334,24 +334,3 @@ def mc_assisted_predict(samples, model: GprModel, cfg: McConfig,
     pipeline = McAssistedGpr(model, cfg, spec)
     return pipeline.predict(target.lat_deg, target.lon_deg)
 
-
-def dump_matrices(pipeline: McAssistedGpr, directory):
-    """Write the pipeline's grid stages as CSV matrices.
-
-    Files: ``grid_z.csv``, ``grid_sigma.csv``, ``grid_z_mc.csv`` and
-    ``grid_z_ds.csv``, one grid row per line.
-    """
-    import os
-
-    names = {
-        "grid_z.csv": pipeline.grid.z,
-        "grid_sigma.csv": pipeline.grid.sigma,
-        "grid_z_mc.csv": pipeline.mc.z_mc,
-        "grid_z_ds.csv": pipeline.z_ds,
-    }
-    paths = []
-    for name, matrix in names.items():
-        path = os.path.join(directory, name)
-        np.savetxt(path, matrix, delimiter=",")
-        paths.append(path)
-    return paths

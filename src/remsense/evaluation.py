@@ -28,7 +28,12 @@ from .calibration import (
     estimate_a_uav,
     estimate_effective_pattern,
 )
-from .completion import McAssistedGpr, McConfig, _check_one_altitude
+from .completion import (
+    McAssistedGpr,
+    McConfig,
+    _check_int,
+    _check_one_altitude,
+)
 from .errors import (
     FitDiverged,
     InsufficientData,
@@ -42,11 +47,14 @@ from .gpr import (
     _variance_split,
     estimate_hyperparameters,
     gpr_fit,
+    gpr_predict_mean,
 )
 from .kriging import (
+    KrigingConfig,
     NormalScoreTransform,
     _systems,
     normal_score,
+    predict_batch,
     solve_ordinary,
     solve_simple,
 )
@@ -105,10 +113,10 @@ class EvalConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}")
-        if self.m_samples < 1:
-            raise ValueError("m_samples must be >= 1")
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
+        # RangeError, a ValueError: caught before any campaign is read
+        _check_int(self, "m_samples", 1)
+        _check_int(self, "iterations", 1)
+        _check_int(self, "seed", 0)
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         if not self.radius_m > 0.0:
@@ -116,7 +124,6 @@ class EvalConfig:
         if self.jitter < 0.0:
             raise ValueError(f"jitter must be >= 0, got {self.jitter}")
         if self.calibrated and self.delta is None:
-            # RangeError, a ValueError: caught before any campaign is read
             _bin_axes(self.calibration_bin_deg)
             _check_min_support(self.calibration_min_support)
 
@@ -291,6 +298,49 @@ def fit_residual_model(samples: Optional[SampleSet], method: str,
     return ResidualModel(corr, mean_z, sigma_y, sigma_gp, transform, corr_u)
 
 
+def predict_residuals(method: str, fit: Optional[ResidualModel], samples,
+                      lat, lon, alt, *, radius_m: float, mc: McConfig,
+                      counters: dict = None, _tables=None) -> np.ndarray:
+    """The residual ``method`` predicts at each target from the samples.
+
+    ``TRPL_only`` predicts zeros and reads neither ``fit`` nor the
+    samples.  The kriging methods are :func:`kriging.predict_batch`
+    within ``radius_m``; a TG method whose ``fit`` has no normal-score
+    transform runs as its plain variant.  GPR is :func:`gpr_predict_mean`
+    of a :func:`gpr_fit` on the samples, and MC_GPR the
+    completion-assisted pipeline ``mc`` on that fit.  ``counters``, when
+    given, gains the kriging fallback targets, and MC_GPR's variance
+    clamps and bisections that hit their cap.
+
+    ``_tables`` is ``(kernel, cross)``, the latent covariance among the
+    samples (Fortran order) and from them to the targets (C order, or
+    None for MC_GPR), both indexed out of a :func:`gpr._cov_rows` table:
+    the fit factors the kernel in place and the GPR mean reads the cross
+    block, with the bits of :func:`gpr_fit` and :func:`gpr_predict_mean`.
+    """
+    if method == "TRPL_only":
+        return np.zeros(np.size(lat))
+    if method in ("GPR", "MC_GPR"):
+        kernel, cross = (None, None) if _tables is None else _tables
+        model = gpr_fit(samples, fit.corr, fit.sigma_y, fit.sigma_gp,
+                        _kernel=kernel)
+        if method == "GPR":
+            return (gpr_predict_mean(model, lat, lon, alt) if cross is None
+                    else _mean(model, cross))
+        pipeline = McAssistedGpr(model, mc)
+        if counters is not None:
+            counters["variance_clamps"] += model.clamp_events
+            counters["mc_bisection_maxed"] += int(not pipeline.mc.converged)
+        return pipeline.predict(lat, lon)
+    variant = method if fit.transform is not None else method.replace("TG_", "")
+    kcfg = KrigingConfig(radius_m=radius_m, variant=variant, mean_z=fit.mean_z)
+    out = predict_batch(samples, fit.corr, lat, lon, alt, kcfg,
+                        transform=fit.transform, model_u=fit.corr_u)
+    if counters is not None:
+        counters["fallback_targets"] += int(np.count_nonzero(out.fallback))
+    return out.z_hat
+
+
 def _fit_from_train(cfg: EvalConfig, train):
     """Gain correction and residual model, from the training campaign only.
 
@@ -394,33 +444,6 @@ def _residuals_kriging(cfg, fit, data, s_idx, z_m, t_idx, counters):
     return out
 
 
-def _residuals_gpr(cfg, fit, data, s_idx, z_m, t_idx, counters):
-    """GPR or MC_GPR residuals at the targets, from a fit on the samples.
-
-    The fit's kernel and the GPR mean's cross-covariance are the sampled
-    rows of the test campaign's covariance table, or, without a table,
-    those rows built for this draw; both give :func:`gpr_fit` and
-    :func:`gpr_predict_mean`'s bits.  Without a table MC_GPR reads only
-    the fit, so :func:`gpr_fit` builds just its M x M kernel.
-    """
-    rows = data.cov[s_idx] if data.cov is not None else None
-    if rows is None and cfg.method == "GPR":
-        rows = _cov_rows(fit.corr, fit.sigma_y, data.lat, data.lon, data.alt,
-                         rows=s_idx)
-    train = SampleSet(data.lat[s_idx], data.lon[s_idx], data.alt[s_idx], z_m)
-    model = gpr_fit(train, fit.corr, fit.sigma_y, fit.sigma_gp,
-                    _kernel=None if rows is None
-                    else np.asfortranarray(rows[:, s_idx]))
-    if cfg.method == "GPR":
-        # C order, as gpr_predict_mean lays out its cross-covariance
-        return _mean(model, rows.take(t_idx, axis=1))
-    pipeline = McAssistedGpr(model, cfg.mc)
-    counters["variance_clamps"] += model.clamp_events
-    if not pipeline.mc.converged:
-        counters["mc_bisection_maxed"] += 1
-    return pipeline.predict(data.lat[t_idx], data.lon[t_idx])
-
-
 def _run_iteration(cfg, fit, data, index, counters):
     """One draw: returns the errors at the targets and their elevation bins."""
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, index)))
@@ -430,14 +453,23 @@ def _run_iteration(cfg, fit, data, index, counters):
     targets = np.nonzero(mask)[0]
 
     z_m = data.values.take(sampled) - data.rhat[sampled]
-    if cfg.method == "TRPL_only":
-        w_hat = np.zeros(len(targets))
-    elif cfg.method in ("GPR", "MC_GPR"):
-        w_hat = _residuals_gpr(cfg, fit, data, sampled, z_m, targets,
-                               counters)
-    else:
+    if cfg.method in ("OK", "SK", "TG_OK", "TG_SK"):
         w_hat = _residuals_kriging(cfg, fit, data, sampled, z_m, targets,
                                    counters)
+    else:
+        tables = None
+        if data.cov is not None:
+            rows = data.cov[sampled]
+            # MC_GPR reads only the fit
+            tables = (np.asfortranarray(rows[:, sampled]),
+                      rows.take(targets, axis=1) if cfg.method == "GPR"
+                      else None)
+        samples = SampleSet(data.lat[sampled], data.lon[sampled],
+                            data.alt[sampled], z_m, data.seq[sampled])
+        w_hat = predict_residuals(
+            cfg.method, fit, samples, data.lat[targets], data.lon[targets],
+            data.alt[targets], radius_m=cfg.radius_m, mc=cfg.mc,
+            counters=counters, _tables=tables)
 
     pred = data.rhat[targets] + w_hat
     return pred - data.values.take(targets), data.elev_bin[targets]
@@ -447,11 +479,13 @@ def monte_carlo_eval(cfg: EvalConfig, test_values: CampaignValues = None
                      ) -> EvaluationReport:
     """Run the sparse-sampling protocol and report RMSE statistics.
 
+    The TRPL, GPR and MC_GPR draws are :func:`predict_residuals` calls.
     GPR and MC_GPR build the latent covariance among all n test rows
-    once, 8 n^2 bytes, when n <= 2896 (64 MB); above that each draw
-    builds only what it reads, the rows of its M samples for GPR and
-    their M x M kernel for MC_GPR.  Either way the reports agree bit
-    for bit.
+    once, 8 n^2 bytes, when n <= 2896 (64 MB), and each draw indexes its
+    kernel and cross-covariance out of it; above that a draw takes the
+    path ``reconstruct`` takes, a :func:`gpr_fit` that builds its M x M
+    kernel and, for GPR, :func:`gpr_predict_mean`.  Either way the
+    reports agree bit for bit.
 
     Args:
         cfg: protocol settings.

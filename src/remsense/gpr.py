@@ -120,10 +120,9 @@ def _check_duplicates(s: SampleSet):
         )
 
 
-def _cov_rows(corr: CorrelationModel, sigma_y, lat, lon, alt,
-              rows=slice(None)):
-    """Latent covariance from the points ``rows`` (default: all) of 1-D
-    columns to every point, a C-ordered ``(len(rows), n)`` matrix.
+def _cov_rows(corr: CorrelationModel, sigma_y, lat, lon, alt):
+    """Latent covariance among all the points of 1-D columns, a
+    C-ordered n x n matrix.
 
     Each entry has the bits that :func:`gpr_fit`'s kernel and
     :func:`gpr_predict_mean`'s cross-covariance give the same two
@@ -133,10 +132,9 @@ def _cov_rows(corr: CorrelationModel, sigma_y, lat, lon, alt,
     ``out[s].take(t, axis=1)`` as the cross-covariance to targets ``t``.
     """
     cov_at = _latent_cov(corr, sigma_y)
-    r = (lat[rows], lon[rows], alt[rows])
-    out = np.empty((r[0].size, lat.size))
-    for b in _blocks(lat.size, r[0].size):
-        out[:, b] = cov_at(*_cross_lags(*r, lat[b], lon[b], alt[b]))
+    out = np.empty((lat.size, lat.size))
+    for b in _blocks(lat.size, lat.size):
+        out[:, b] = cov_at(*_cross_lags(lat, lon, alt, lat[b], lon[b], alt[b]))
     return out
 
 
@@ -209,8 +207,7 @@ def gpr_predict(model: GprModel, target: GeoPoint):
     return float(z[0]), float(v[0])
 
 
-def estimate_hyperparameters(samples, corr: CorrelationModel,
-                             dh_edges=None, dv_edges=None):
+def estimate_hyperparameters(samples, corr: CorrelationModel):
     """Split total residual variance into latent and noise parts.
 
     The empirical correlation over the three shortest populated
@@ -224,8 +221,7 @@ def estimate_hyperparameters(samples, corr: CorrelationModel,
     s = SampleSet.from_samples(samples)
     if len(s) < 3:
         raise InsufficientData("need at least three samples to split variance")
-    return _variance_split(
-        empirical_correlation(s, dh_edges=dh_edges, dv_edges=dv_edges))
+    return _variance_split(empirical_correlation(s))
 
 
 def _variance_split(table):

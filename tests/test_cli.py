@@ -195,6 +195,18 @@ def test_calibrated_eval_bad_binning_exits_before_reading(work, tmp_path,
         assert message in capsys.readouterr().err
 
 
+
+def test_eval_non_integer_counts_exit_before_reading(work, tmp_path, capsys):
+    doc = json.loads((work / "eval_config.json").read_text())
+    missing = str(tmp_path / "none.csv")
+    for key, value in (("iterations", 2.5), ("m_samples", 50.0),
+                       ("seed", True)):
+        path = tmp_path / f"bad_{key}.json"
+        path.write_text(json.dumps({**doc, key: value}))
+        assert main(["eval", "--config", str(path), "--test", missing,
+                     "--train", missing]) == 2
+        assert f"{key} must be an integer >= " in capsys.readouterr().err
+
 def test_reconstruct_deterministic_grid(work, tmp_path):
     out = tmp_path / "grid.csv"
     code = main(["reconstruct", "--measurements", str(work / "quiet.csv"),

@@ -13,7 +13,6 @@ from remsense.completion import (
     build_grid,
     decompose_deep_shadow,
     dilate_deep_shadow,
-    dump_matrices,
     gpr_to_grid,
     mc_assisted_predict,
     nuclear_norm_min,
@@ -402,13 +401,3 @@ def test_one_shot_wrapper_matches_pipeline():
         want, abs=1e-12
     )
 
-
-def test_dump_matrices_round_trip(tmp_path):
-    m = pipeline_model(seed=56)
-    pipe = McAssistedGpr(m, McConfig(), build_grid(m.train, 10.0))
-    paths = dump_matrices(pipe, tmp_path)
-    assert sorted(p.rsplit("/", 1)[-1] for p in paths) == [
-        "grid_sigma.csv", "grid_z.csv", "grid_z_ds.csv", "grid_z_mc.csv",
-    ]
-    back = np.loadtxt(tmp_path / "grid_z.csv", delimiter=",")
-    np.testing.assert_allclose(back, pipe.grid.z, rtol=0, atol=0)

@@ -209,6 +209,59 @@ def test_tiny_radius_falls_back_to_deterministic(gaussian_campaigns):
     assert ok.rmse_db == trpl.rmse_db
 
 
+@pytest.mark.parametrize("method", evaluation.METHODS)
+def test_predict_residuals_is_each_methods_predictor(gaussian_campaigns,
+                                                     method):
+    train, test, _ = gaussian_campaigns
+    samples = extract_sf(train, PROP, GS)
+    lat, lon, alt = test.lat, test.lon, test.alt
+
+    def predict(method, samples):
+        fit = (None if method == "TRPL_only"
+               else fit_residual_model(samples, method))
+        counters = dict.fromkeys(("fallback_targets", "variance_clamps",
+                                  "mc_bisection_maxed"), 0)
+        out = evaluation.predict_residuals(
+            method, fit, samples, lat, lon, alt, radius_m=15.0,
+            mc=rs.McConfig(), counters=counters)
+        return fit, out, counters
+
+    fit, out, counters = predict(method, samples)
+    want = dict.fromkeys(counters, 0)
+    if method == "TRPL_only":
+        expected = np.zeros(len(test))
+    elif method in ("GPR", "MC_GPR"):
+        model = gpr.gpr_fit(samples, fit.corr, fit.sigma_y, fit.sigma_gp)
+        if method == "GPR":
+            expected = gpr.gpr_predict_mean(model, lat, lon, alt)
+        else:
+            pipeline = rs.McAssistedGpr(model, rs.McConfig())
+            want["variance_clamps"] = model.clamp_events
+            want["mc_bisection_maxed"] = int(not pipeline.mc.converged)
+            expected = pipeline.predict(lat, lon)
+    else:
+        kcfg = rs.KrigingConfig(radius_m=15.0, variant=method,
+                                mean_z=fit.mean_z)
+        batch = rs.kriging.predict_batch(samples, fit.corr, lat, lon, alt,
+                                         kcfg, transform=fit.transform,
+                                         model_u=fit.corr_u)
+        expected = batch.z_hat
+        want["fallback_targets"] = int(np.count_nonzero(batch.fallback))
+        # the lawnmower's rows leave targets more than 15 m from a sample
+        assert want["fallback_targets"] > 0
+    assert np.array_equal(out, expected)
+    assert counters == want
+
+    if method.startswith("TG_"):
+        # below 20 samples a TG fit has no transform: the plain variant
+        few = samples[:15]
+        with pytest.warns(UserWarning):
+            _, tg, tg_counters = predict(method, few)
+        _, plain, plain_counters = predict(method[3:], few)
+        assert np.array_equal(tg, plain)
+        assert tg_counters == plain_counters
+
+
 @pytest.mark.parametrize("radius_m", [70.0, 200.0])
 @pytest.mark.parametrize("method", ["OK", "SK", "TG_OK", "TG_SK"])
 def test_kriged_residuals_equal_predict_batch(monkeypatch, gaussian_campaigns,
@@ -258,7 +311,7 @@ def test_covariance_table_does_not_change_reports(monkeypatch,
     tables = []
 
     def recording(*args, **kwargs):
-        tables.append("rows" not in kwargs)
+        tables.append(args)
         return cov_rows(*args, **kwargs)
 
     cov_rows = evaluation._cov_rows
@@ -266,12 +319,12 @@ def test_covariance_table_does_not_change_reports(monkeypatch,
     cfg = base_cfg(test, train, method=method, iterations=iterations,
                    **(CALIBRATED if calibrated else {}))
     with_table = monte_carlo_eval(cfg)
-    assert tables == [True]
+    assert len(tables) == 1
     monkeypatch.setattr(evaluation, "_COV_TABLE_ELEMENTS", 0)
     without = monte_carlo_eval(cfg)
-    # without the table a GPR draw builds its sampled rows, and an
-    # MC_GPR draw leaves its M x M kernel to gpr_fit
-    assert tables == [True] + [False] * (iterations if method == "GPR" else 0)
+    # without the table a draw leaves its kernel to gpr_fit and, for
+    # GPR, its cross-covariance to gpr_predict_mean: no _cov_rows call
+    assert len(tables) == 1
     assert with_table.to_dict() == without.to_dict()
 
 
@@ -281,25 +334,23 @@ def test_gpr_residuals_equal_public_fit_and_mean(monkeypatch,
     train, test, _ = gaussian_campaigns
     draws = []
 
-    def recording(cfg, fit, data, s_idx, z_m, t_idx, counters):
-        out = residuals(cfg, fit, data, s_idx, z_m, t_idx, counters)
-        draws.append((fit, data, s_idx, z_m, t_idx, out))
+    def recording(method, fit, samples, lat, lon, alt, **kwargs):
+        out = residuals(method, fit, samples, lat, lon, alt, **kwargs)
+        draws.append((fit, samples, lat, lon, alt, kwargs["_tables"], out))
         return out
 
-    residuals = evaluation._residuals_gpr
-    monkeypatch.setattr(evaluation, "_residuals_gpr", recording)
+    residuals = evaluation.predict_residuals
+    monkeypatch.setattr(evaluation, "predict_residuals", recording)
     if not table:
         monkeypatch.setattr(evaluation, "_COV_TABLE_ELEMENTS", 0)
     monte_carlo_eval(base_cfg(test, train, method="GPR", iterations=30))
     assert len(draws) == 30
-    for fit, data, s_idx, z_m, t_idx, out in draws:
-        assert (data.cov is not None) == table
+    for fit, samples, lat, lon, alt, tables, out in draws:
+        assert (tables is not None) == table
         model = gpr.gpr_fit(
-            rs.SampleSet(data.lat[s_idx], data.lon[s_idx], data.alt[s_idx],
-                         z_m),
+            rs.SampleSet(samples.lat, samples.lon, samples.alt, samples.z),
             fit.corr, fit.sigma_y, fit.sigma_gp)
-        mean = gpr.gpr_predict_mean(model, data.lat[t_idx], data.lon[t_idx],
-                                    data.alt[t_idx])
+        mean = gpr.gpr_predict_mean(model, lat, lon, alt)
         assert np.array_equal(out, mean)
 
 
@@ -362,6 +413,14 @@ def test_validation_errors(gaussian_campaigns):
                 dict(jitter=-1.0)):
         with pytest.raises(ValueError):
             base_cfg(test, **bad)
+    # counts are integers, checked before any campaign is read
+    for name, value in (("m_samples", 50.0), ("m_samples", True),
+                        ("iterations", 2.5), ("iterations", True),
+                        ("seed", 1.0), ("seed", True), ("seed", -1)):
+        with pytest.raises(rs.RangeError, match=f"{name} must be an integer"):
+            base_cfg("missing.csv", "missing.csv", **{name: value})
+    base_cfg(test, m_samples=np.int64(50), iterations=np.int64(2),
+             seed=np.int64(0))
 
 
 def test_mc_gpr_rejects_a_multi_altitude_test_campaign(gaussian_campaigns):

@@ -226,12 +226,10 @@ def test_fit_on_a_given_kernel_is_the_built_fit():
     train = samples_of([pts[i] for i in s], z[s])
     built = gpr_fit(train, CORR, sigma_y=2.0, sigma_gp=0.5)
     table = gpr._cov_rows(CORR, 2.0, lat, lon, alt)
-    for kernel in (table[s][:, s],
-                   gpr._cov_rows(CORR, 2.0, lat, lon, alt, rows=s)[:, s]):
-        given = gpr_fit(train, CORR, sigma_y=2.0, sigma_gp=0.5,
-                        _kernel=np.asfortranarray(kernel))
-        assert np.array_equal(given._cho[0], built._cho[0])
-        assert np.array_equal(given._alpha, built._alpha)
+    given = gpr_fit(train, CORR, sigma_y=2.0, sigma_gp=0.5,
+                    _kernel=np.asfortranarray(table[s][:, s]))
+    assert np.array_equal(given._cho[0], built._cho[0])
+    assert np.array_equal(given._alpha, built._alpha)
     with pytest.raises(ValueError, match="kernel of shape"):
         gpr_fit(train, CORR, sigma_y=2.0, sigma_gp=0.5,
                 _kernel=np.asfortranarray(table[s[1:]][:, s[1:]]))
