@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: synth, fit-corr, calibrate, reconstruct, eval, sweep.
-Every subcommand accepts ``--config FILE`` with a JSON document; flags
-override matching config keys.  Outputs are CSV or JSON.  Exit codes:
+Every subcommand but synth takes ``--config FILE``, whose keys the
+README lists per command.  Outputs are CSV or JSON.  Exit codes:
 0 success, 2 validation (bad flags, bad config), 3 runtime (bad data,
 failed fit, I/O during processing).
 """

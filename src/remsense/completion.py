@@ -15,7 +15,7 @@ import numpy as np
 from scipy import ndimage
 from scipy.interpolate import RectBivariateSpline
 
-from .errors import DegenerateExtent, RangeError
+from .errors import DegenerateExtent, InsufficientData, RangeError
 from .geo import GeoPoint, from_local_xy, to_local_xy
 from .gpr import GprModel, gpr_predict_batch
 from .shadowing import SampleSet
@@ -110,12 +110,15 @@ def build_grid(samples, spacing_m: float = 5.0) -> GridSpec:
 
     Raises:
         RangeError: if ``spacing_m`` is not positive.
+        InsufficientData: if there are no samples.
         DegenerateExtent: if the samples span less than one cell in
             either horizontal direction.
     """
     if not spacing_m > 0:
         raise RangeError(f"grid spacing must be positive, got {spacing_m}")
     s = SampleSet.from_samples(samples)
+    if len(s) == 0:
+        raise InsufficientData("cannot lay a grid over zero samples")
     origin = GeoPoint(float(np.min(s.lat)), float(np.min(s.lon)),
                       float(np.mean(s.alt)))
     x, y = to_local_xy(s.lat, s.lon, origin)

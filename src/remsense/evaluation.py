@@ -272,7 +272,7 @@ def fit_residual_model(samples: Optional[SampleSet], method: str,
             # a fitted table has six populated bins, so four samples or more
             sigma_y, sigma_gp = _variance_split(table)
         elif samples is not None:
-            sigma_y, sigma_gp = estimate_hyperparameters(samples, corr)
+            sigma_y, sigma_gp = estimate_hyperparameters(samples)
         else:
             sigma_y = corr.sigma_z
 
@@ -314,9 +314,10 @@ def predict_residuals(method: str, fit: Optional[ResidualModel], samples,
 
     ``_tables`` is ``(kernel, cross)``, the latent covariance among the
     samples (Fortran order) and from them to the targets (C order, or
-    None for MC_GPR), both indexed out of a :func:`gpr._cov_rows` table:
-    the fit factors the kernel in place and the GPR mean reads the cross
-    block, with the bits of :func:`gpr_fit` and :func:`gpr_predict_mean`.
+    None for MC_GPR), both indexed out of a :func:`gpr._cov_rows` table's
+    C-ordered transpose: the fit factors the kernel in place and the GPR
+    mean reads the cross block, with the bits of :func:`gpr_fit` and
+    :func:`gpr_predict_mean`.
     """
     if method == "TRPL_only":
         return np.zeros(np.size(lat))
@@ -381,8 +382,8 @@ class _TestData:
     elev_bin: np.ndarray
     values: CampaignValues
     n: int
-    # GPR and MC_GPR: latent covariance among all rows, or None above
-    # _COV_TABLE_ELEMENTS
+    # GPR and MC_GPR: latent covariance among all rows, C-ordered so that
+    # a draw's row gather is contiguous, or None above _COV_TABLE_ELEMENTS
     cov: Optional[np.ndarray] = None
 
 
@@ -516,7 +517,7 @@ def monte_carlo_eval(cfg: EvalConfig, test_values: CampaignValues = None
     if (cfg.method in ("GPR", "MC_GPR")
             and data.n * data.n <= _COV_TABLE_ELEMENTS):
         data.cov = _cov_rows(fit.corr, fit.sigma_y, data.lat, data.lon,
-                             data.alt)
+                             data.alt).T
 
     rmse = np.empty(cfg.iterations)
     bin_rmse = np.full((cfg.iterations, ELEVATION_BIN_COUNT), np.nan)

@@ -16,7 +16,8 @@ from .errors import (DuplicateLocations, InsufficientData, SingularSystem,
                      TooManyPoints)
 from .geo import (GeoPoint, _blocks, _cross_lags, _grid_axes, _grid_lags,
                   _lag_kernel, _target_columns)
-from .shadowing import CorrelationModel, SampleSet, empirical_correlation
+from .shadowing import (CorrelationModel, SampleSet, empirical_correlation,
+                        transformed_model)
 
 # a fit holds one n x n float64 kernel, 8 n^2 bytes: 1.15 GB at this bound
 MAX_FIT_POINTS = 12_000
@@ -43,20 +44,15 @@ class GprModel:
         return self.sigma_y**2 + self.sigma_gp**2
 
 
-def _latent_cov(corr: CorrelationModel, sigma_y):
-    """Latent covariance as a function of the lags ``(d_h, d_v)``."""
-    return lambda d_h, d_v: sigma_y**2 * corr.correlation_at(d_h, d_v)
-
-
 def gpr_fit(samples, corr: CorrelationModel, sigma_y: float,
             sigma_gp: float, *, _kernel=None) -> GprModel:
     """Factorize the training covariance and precompute the mean solve.
 
     The n x n kernel is allocated once, filled in column blocks and
-    factorized in place, so the fit peaks at about 8 n^2 bytes.  A
-    caller that already holds the latent covariance among the samples,
-    as :func:`_cov_rows` builds it, passes it as ``_kernel`` (n x n,
-    Fortran order); it is overwritten by the factor instead of a
+    factorized in place, so the fit peaks at about 8 n^2 bytes; it is
+    :func:`_cov_rows` on the samples.  A caller that already holds that
+    kernel, or a Fortran-ordered gather of a larger one, passes it as
+    ``_kernel`` (n x n); it is overwritten by the factor instead of a
     kernel being built.
 
     Args:
@@ -69,9 +65,9 @@ def gpr_fit(samples, corr: CorrelationModel, sigma_y: float,
         DuplicateLocations: coincident samples with ``sigma_gp`` = 0,
             which make the kernel matrix exactly singular.
         InsufficientData: empty training set.
-        ValueError: negative standard deviations, or samples, standard
-            deviations or correlation parameters that are not finite,
-            or a ``_kernel`` that is not n x n.
+        ValueError: negative standard deviations, samples or standard
+            deviations that are not finite, or a ``_kernel`` that is
+            not n x n.
         TooManyPoints: more than ``MAX_FIT_POINTS`` (12,000) samples,
             whose kernel alone would take over 1.15 GB.
     """
@@ -86,16 +82,15 @@ def gpr_fit(samples, corr: CorrelationModel, sigma_y: float,
     if sigma_y < 0 or sigma_gp < 0:
         raise ValueError("standard deviations must be >= 0")
     # finite inputs make a finite kernel, so neither LAPACK call scans it
-    params = (sigma_y, sigma_gp, corr.a, corr.p1, corr.p2, corr.q)
-    if not (np.isfinite(params).all()
+    if not (np.isfinite((sigma_y, sigma_gp)).all()
             and all(np.isfinite(c).all() for c in (s.lat, s.lon, s.alt, s.z))):
-        raise ValueError("samples, sigmas and correlation must be finite")
+        raise ValueError("samples and sigmas must be finite")
     if _kernel is not None and np.shape(_kernel) != (n, n):
         raise ValueError(f"kernel of shape {np.shape(_kernel)} for {n} samples")
     if sigma_gp == 0.0:
         _check_duplicates(s)
-    k = (_lag_kernel(_latent_cov(corr, sigma_y), s.lat, s.lon, s.alt)
-         if _kernel is None else _kernel)
+    k = (_cov_rows(corr, sigma_y, s.lat, s.lon, s.alt) if _kernel is None
+         else _kernel)
     k[np.diag_indices_from(k)] += sigma_gp**2
     try:
         cho = linalg.cho_factor(k, lower=True, overwrite_a=True,
@@ -121,21 +116,15 @@ def _check_duplicates(s: SampleSet):
 
 
 def _cov_rows(corr: CorrelationModel, sigma_y, lat, lon, alt):
-    """Latent covariance among all the points of 1-D columns, a
-    C-ordered n x n matrix.
-
-    Each entry has the bits that :func:`gpr_fit`'s kernel and
-    :func:`gpr_predict_mean`'s cross-covariance give the same two
-    points, since swapping the two points of :func:`geo._lags` gives the
-    same bits.  So a fit on rows ``s`` can take
-    ``np.asfortranarray(out[s][:, s])`` as its kernel and
-    ``out[s].take(t, axis=1)`` as the cross-covariance to targets ``t``.
-    """
-    cov_at = _latent_cov(corr, sigma_y)
-    out = np.empty((lat.size, lat.size))
-    for b in _blocks(lat.size, lat.size):
-        out[:, b] = cov_at(*_cross_lags(lat, lon, alt, lat[b], lon[b], alt[b]))
-    return out
+    """Latent covariance among all the points of 1-D columns, as the
+    Fortran-ordered n x n kernel of :func:`geo._lag_kernel`.  Its
+    transpose ``c``, a C-ordered view, has at ``[i, j]`` the bits of
+    :func:`gpr_predict_mean`'s cross-covariance from point i to point j,
+    so a fit on rows ``s`` can take ``np.asfortranarray(c[s][:, s])`` as
+    its kernel and ``c[s].take(t, axis=1)`` as its cross-covariance to
+    targets ``t``."""
+    return _lag_kernel(transformed_model(corr, sigma_y).covariance_at,
+                       lat, lon, alt)
 
 
 def _mean(model: GprModel, k0):
@@ -150,7 +139,7 @@ def _cross_cov_blocks(model: GprModel, lat, lon, alt):
     get their lags from per-row and per-column terms, with the same
     bits."""
     t = model.train
-    cov_at = _latent_cov(model.corr, model.sigma_y)
+    cov_at = transformed_model(model.corr, model.sigma_y).covariance_at
     axes = _grid_axes(lat, lon, alt)
     for b in _blocks(lat.size, len(t)):
         if axes is None:
@@ -207,13 +196,15 @@ def gpr_predict(model: GprModel, target: GeoPoint):
     return float(z[0]), float(v[0])
 
 
-def estimate_hyperparameters(samples, corr: CorrelationModel):
+def estimate_hyperparameters(samples, corr: CorrelationModel = None):
     """Split total residual variance into latent and noise parts.
 
     The empirical correlation over the three shortest populated
     horizontal-lag bins is extrapolated linearly to zero lag; the
     shortfall from 1 is read as the noise (nugget) fraction, clamped to
     at most 90% of the total variance so the latent part stays positive.
+    ``corr`` is not read: the split depends on the samples alone, and
+    the parameter stays so that calls passing a model keep working.
 
     Returns:
         ``(sigma_y, sigma_gp)`` in dB.

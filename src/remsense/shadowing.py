@@ -147,6 +147,9 @@ class CorrelationModel:
     sigma_z: float
 
     def __post_init__(self):
+        params = (self.a, self.p1, self.p2, self.q, self.sigma_z)
+        if not np.isfinite(params).all():
+            raise RangeError(f"correlation parameters must be finite: {self}")
         if not (0.0 <= self.a <= 1.0):
             raise RangeError(f"mixing weight a={self.a} outside [0, 1]")
         if min(self.p1, self.p2, self.q) < 0.0:
@@ -156,18 +159,20 @@ class CorrelationModel:
 
     def correlation_at(self, d_h, d_v):
         """Correlation for horizontal/vertical lags in metres."""
-        d_h = np.asarray(d_h, dtype=float)
-        d_v = np.asarray(d_v, dtype=float)
-        return np.exp(-self.q * d_v) * (
-            self.a * np.exp(-self.p1 * d_h)
-            + (1.0 - self.a) * np.exp(-self.p2 * d_h)
-        )
+        return _correlation(self.a, self.p1, self.p2, self.q,
+                            np.asarray(d_h, float), np.asarray(d_v, float))
 
     def covariance_at(self, d_h, d_v):
         return self.sigma_z**2 * self.correlation_at(d_h, d_v)
 
     def semivariogram_at(self, d_h, d_v):
         return self.sigma_z**2 * (1.0 - self.correlation_at(d_h, d_v))
+
+
+def _correlation(a, p1, p2, q, d_h, d_v):
+    """The module docstring's ``R(d_h, d_v)``, for parameters in range."""
+    return np.exp(-q * d_v) * (a * np.exp(-p1 * d_h)
+                               + (1.0 - a) * np.exp(-p2 * d_h))
 
 
 def _pair_lags(a: GeoPoint, b: GeoPoint):
@@ -351,8 +356,7 @@ def _model_values(params, dh, dv, fix_a_one):
     p1 = min(max(p1, 0.0), MAX_RATE_PER_M)
     p2 = min(max(p2, 0.0), MAX_RATE_PER_M)
     q = min(max(q, 0.0), MAX_RATE_PER_M)
-    r = np.exp(-q * dv) * (a * np.exp(-p1 * dh) + (1.0 - a) * np.exp(-p2 * dh))
-    return r, (a, p1, p2, q)
+    return _correlation(a, p1, p2, q, dh, dv), (a, p1, p2, q)
 
 
 def fit_correlation_model(table: CorrelationTable, fix_a_one: bool = False,
@@ -410,8 +414,8 @@ def fit_correlation_model(table: CorrelationTable, fix_a_one: bool = False,
     if best is None:
         raise FitDiverged("no start converged to a finite objective")
 
-    r_mod, (a, p1, p2, q) = _model_values(best.x, dh, dv, fix_a_one)
-    rms = float(np.sqrt(np.sum(w * (r_mod - r_emp) ** 2)))
+    _, (a, p1, p2, q) = _model_values(best.x, dh, dv, fix_a_one)
+    rms = float(np.sqrt(best.fun))
     if rms > residual_threshold:
         raise FitDiverged(
             f"weighted RMS residual {rms:.3f} exceeds {residual_threshold}"

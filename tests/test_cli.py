@@ -366,6 +366,19 @@ def test_eval_validation_exit_codes(work, tmp_path, capsys):
                  "--test", str(work / "test.csv"), "--method", "TRPL_only",
                  "--iterations", "1"]) == 2
 
+    # a non-finite corr_model exits before the (missing) campaign is read;
+    # json writes NaN and Infinity literals and reads them back
+    doc = json.loads((work / "eval_config.json").read_text())
+    corr_bad = tmp_path / "corr.json"
+    for method in ("OK", "GPR", "TRPL_only"):
+        for key, value in (("p1", float("nan")), ("sigma_z", float("inf"))):
+            doc["corr_model"] = {**_corr_to_dict(CORR), key: value}
+            corr_bad.write_text(json.dumps(doc))
+            assert main(["eval", "--config", str(corr_bad), "--test",
+                         str(tmp_path / "none.csv"), "--method", method,
+                         "--iterations", "1"]) == 2
+            assert "must be finite" in capsys.readouterr().err
+
 
 def test_sweep_axis_and_csv(work, tmp_path, capsys):
     out = tmp_path / "sweep.csv"
@@ -422,6 +435,14 @@ def test_reconstruct_missing_measurements_exits_3(work, tmp_path, capsys):
                  "--config", str(work / "config.json"), "--out", str(out),
                  "--method", "MC_GPR"]) == 3
     assert "none.csv" in capsys.readouterr().err
+    assert not out.exists()
+    # a header-only file reads as zero measurements
+    empty = tmp_path / "empty.csv"
+    write_measurements_csv(empty, [])
+    assert main(["reconstruct", "--measurements", str(empty),
+                 "--config", str(work / "config.json"), "--out", str(out),
+                 "--method", "TRPL_only"]) == 3
+    assert "zero samples" in capsys.readouterr().err
     assert not out.exists()
 
 

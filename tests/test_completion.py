@@ -73,6 +73,8 @@ def test_build_grid_rejects_degenerate_extent():
         build_grid(samples_of(pts, [0.0, 0.0]), spacing_m=5.0)
     with pytest.raises(rs.DegenerateExtent):
         build_grid(samples_of(pts[:1], [0.0]), spacing_m=5.0)
+    with pytest.raises(rs.InsufficientData, match="zero samples"):
+        build_grid(samples_of([], []), spacing_m=5.0)
     for spacing in (0.0, -5.0):
         with pytest.raises(rs.RangeError, match="spacing must be positive"):
             build_grid(samples_of(pts, [0.0, 0.0]), spacing_m=spacing)

@@ -367,8 +367,8 @@ def test_gpr_eval_builds_one_table_and_no_lags_per_draw(monkeypatch,
         calls.clear()
         monte_carlo_eval(base_cfg(test, train, method="GPR",
                                   iterations=iterations))
-        # one 320 x 320 block: the table
-        assert calls == {"_cross_lags": 1}
+        # one 320 x 320 kernel: the table
+        assert calls == {"_lag_kernel": 1}
 
 
 def test_elevation_bins_match_geometry(gaussian_campaigns):

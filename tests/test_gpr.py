@@ -245,7 +245,7 @@ def test_variance_is_the_two_solve_formula():
     grid = (lat, lon, np.full(lat.size, 60.0))
     for targets in (coords(uniform_points(300, 320.0, seed=48)), grid):
         _, var = gpr_predict_batch(m, *targets)
-        k0 = gpr._latent_cov(CORR, 2.0)(*geo._cross_lags(
+        k0 = rs.transformed_model(CORR, 2.0).covariance_at(*geo._cross_lags(
             m.train.lat, m.train.lon, m.train.alt, *targets))
         w = linalg.cho_solve(m._cho, k0)
         want = m.prior_variance - np.einsum("ij,ij->j", k0, w)
@@ -378,6 +378,8 @@ def test_white_noise_hits_nugget_cap():
     z = 2.0 * np.random.default_rng(99).standard_normal(500)
     sy, sg = estimate_hyperparameters(samples_of(pts, z), CORR)
     assert sg**2 == pytest.approx(0.9 * (sy**2 + sg**2), rel=1e-9)
+    # the model is not read: the split is the samples' alone
+    assert estimate_hyperparameters(samples_of(pts, z)) == (sy, sg)
 
 
 def test_variance_split_recovery_smooth_plus_noise():

@@ -372,12 +372,15 @@ def test_correlation_random_pairs_against_formula():
 
 
 def test_model_validation():
-    with pytest.raises(ValueError):
-        rs.CorrelationModel(a=1.2, p1=0.1, p2=0.1, q=0.1, sigma_z=1.0)
-    with pytest.raises(ValueError):
-        rs.CorrelationModel(a=0.5, p1=-0.1, p2=0.1, q=0.1, sigma_z=1.0)
-    with pytest.raises(ValueError):
-        rs.CorrelationModel(a=0.5, p1=0.1, p2=0.1, q=0.1, sigma_z=-3.0)
+    good = dict(a=0.5, p1=0.1, p2=0.01, q=0.1, sigma_z=1.0)
+    bad = [dict(a=1.2), dict(p1=-0.1), dict(sigma_z=-3.0)]
+    # min() skips or returns a NaN and nan < 0 is False, so these need
+    # their own check
+    bad += [{name: value} for name in good for value in (np.nan, np.inf)]
+    bad += [dict(q=-np.inf)]
+    for change in bad:
+        with pytest.raises(rs.RangeError):
+            rs.CorrelationModel(**{**good, **change})
 
 
 def test_transformed_model_changes_only_sigma():
