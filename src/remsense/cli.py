@@ -24,7 +24,7 @@ from .calibration import (
     write_delta_csv,
 )
 from .completion import McConfig, build_grid
-from .errors import RangeError, RemSenseError
+from .errors import RangeError, RemSenseError, _check_real
 from .evaluation import (
     METHODS,
     SWEEP_AXES,
@@ -172,8 +172,10 @@ def _cmd_reconstruct(args):
         raise _ConfigProblem(f"spacing must be positive, got {args.spacing:g}")
     radius_m = args.radius if args.radius is not None else doc.get(
         "radius_m", 200.0)
-    if not radius_m > 0:
-        raise _ConfigProblem(f"radius_m must be positive, got {radius_m:g}")
+    try:
+        _check_real("radius_m", radius_m, positive=True)
+    except RangeError as exc:
+        raise _ConfigProblem(str(exc)) from None
     mc = _mc_from_dict(doc.get("mc", {}))
     delta = None
     if args.delta_csv:
@@ -244,7 +246,7 @@ def _eval_config(args, doc):
         radius_m=pick(args.radius, "radius_m", 200.0),
         iterations=pick(args.iterations, "iterations", 5000),
         seed=pick(args.seed, "seed", 0),
-        workers=pick(args.workers, "workers", 1),
+        workers=pick(args.workers, "workers", None),
         mean_z=doc.get("mean_z"),
         corr_model=corr,
         sigma_split=sigma_split,
@@ -382,8 +384,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--iterations", type=int, default=None)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--workers", type=int, default=None,
-                       help="accepted for compatibility and has no effect: "
-                       "iterations run serially")
+                       help="has no effect and will be removed; given here "
+                       "or as the config key, it only warns: iterations run "
+                       "serially")
         p.add_argument("--calibrated", action="store_true")
         p.add_argument("--delta-csv", default=None, dest="delta_csv")
         if name == "eval":

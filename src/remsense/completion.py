@@ -15,7 +15,8 @@ import numpy as np
 from scipy import ndimage
 from scipy.interpolate import RectBivariateSpline
 
-from .errors import DegenerateExtent, InsufficientData, RangeError
+from .errors import (DegenerateExtent, InsufficientData, RangeError,
+                     _check_int, _check_real)
 from .geo import GeoPoint, from_local_xy, to_local_xy
 from .gpr import GprModel, gpr_predict_batch
 from .shadowing import SampleSet
@@ -36,11 +37,10 @@ class GridSpec:
     alt_m: float
 
     def __post_init__(self):
-        _check_real(self, "spacing_m", positive=True)
-        if not np.isfinite(self.alt_m):
-            raise RangeError(f"alt_m must be finite, got {self.alt_m!r}")
-        _check_int(self, "n_rows", 1)
-        _check_int(self, "n_cols", 1)
+        _check_real("spacing_m", self.spacing_m, positive=True)
+        _check_real("alt_m", self.alt_m)
+        _check_int("n_rows", self.n_rows, 1)
+        _check_int("n_cols", self.n_cols, 1)
 
     def node_latlon(self):
         """Mesh of node coordinates, each shaped (n_rows, n_cols)."""
@@ -80,29 +80,12 @@ class McConfig:
     grid_spacing_m: float = 5.0
 
     def __post_init__(self):
-        _check_real(self, "alpha", positive=False)
-        _check_real(self, "t_v", positive=False)
-        _check_real(self, "t_lambda", positive=True)
-        _check_real(self, "grid_spacing_m", positive=True)
-        _check_int(self, "dilation_radius", 0)
-        _check_int(self, "max_bisection_iters", 1)
-
-
-def _check_real(obj, name, positive):
-    """Raise RangeError unless field ``name`` is finite and > 0
-    (``positive``) or >= 0."""
-    v = getattr(obj, name)
-    if not (np.isfinite(v) and (v > 0 if positive else v >= 0)):
-        raise RangeError(f"{name} must be finite and "
-                         f"{'> 0' if positive else '>= 0'}, got {v!r}")
-
-
-def _check_int(obj, name, low):
-    """Raise RangeError unless field ``name`` is an integer >= ``low``."""
-    v = getattr(obj, name)
-    if (isinstance(v, bool) or not isinstance(v, (int, np.integer))
-            or v < low):
-        raise RangeError(f"{name} must be an integer >= {low}, got {v!r}")
+        _check_real("alpha", self.alpha, positive=False)
+        _check_real("t_v", self.t_v, positive=False)
+        _check_real("t_lambda", self.t_lambda, positive=True)
+        _check_real("grid_spacing_m", self.grid_spacing_m, positive=True)
+        _check_int("dilation_radius", self.dilation_radius, 0)
+        _check_int("max_bisection_iters", self.max_bisection_iters, 1)
 
 
 def build_grid(samples, spacing_m: float = 5.0) -> GridSpec:

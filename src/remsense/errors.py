@@ -7,6 +7,8 @@ input data additionally derive from ``ValueError``.
 
 import csv
 
+import numpy as np
+
 
 class RemSenseError(Exception):
     """Base class for all errors raised by this package."""
@@ -14,6 +16,23 @@ class RemSenseError(Exception):
 
 class RangeError(RemSenseError, ValueError):
     """A coordinate or physical quantity is outside its valid range."""
+
+
+def _check_real(name, v, positive=None):
+    """Raise RangeError unless the value ``v`` of ``name`` is finite and,
+    when ``positive`` is given, > 0 (True) or >= 0 (False)."""
+    bound = {None: "", True: "positive and ", False: "non-negative and "}
+    if not (np.isfinite(v) and (positive is None
+                                or (v > 0 if positive else v >= 0))):
+        raise RangeError(f"{name} must be {bound[positive]}finite, got {v!r}")
+
+
+def _check_int(name, v, low):
+    """Raise RangeError unless the value ``v`` of ``name`` is an integer
+    >= ``low``."""
+    if (isinstance(v, bool) or not isinstance(v, (int, np.integer))
+            or v < low):
+        raise RangeError(f"{name} must be an integer >= {low}, got {v!r}")
 
 
 class DegenerateLink(RemSenseError, ValueError):

@@ -16,7 +16,7 @@ derived from (seed, index).
 import csv
 import os
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -28,16 +28,13 @@ from .calibration import (
     estimate_a_uav,
     estimate_effective_pattern,
 )
-from .completion import (
-    McAssistedGpr,
-    McConfig,
-    _check_int,
-    _check_one_altitude,
-)
+from .completion import McAssistedGpr, McConfig, _check_one_altitude
 from .errors import (
     FitDiverged,
     InsufficientData,
     ParseError,
+    _check_int,
+    _check_real,
     _read_csv_rows,
 )
 from .geo import _BLOCK_ELEMENTS, GeoPoint, _check_location
@@ -86,8 +83,9 @@ class EvalConfig:
     measurement lists.  ``corr_model`` / ``sigma_split`` / ``delta``
     override the train-campaign fits when supplied; otherwise everything
     a method needs is fitted from the training campaign.  ``workers`` is
-    accepted for compatibility and has no effect: iterations run
-    serially.
+    an init-only keyword kept so that existing calls keep working:
+    iterations run serially, so passing it only emits a
+    ``FutureWarning``, and it is neither stored nor echoed.
     """
 
     gs: GeoPoint
@@ -100,7 +98,7 @@ class EvalConfig:
     iterations: int = 5000
     seed: int = 0
     train_campaign: object = None
-    workers: int = 1
+    workers: InitVar[Optional[int]] = None
     jitter: float = 1e-6
     mean_z: Optional[float] = None
     corr_model: Optional[CorrelationModel] = None
@@ -110,19 +108,19 @@ class EvalConfig:
     calibration_min_support: int = 25
     mc: McConfig = field(default_factory=McConfig)
 
-    def __post_init__(self):
+    def __post_init__(self, workers):
+        if workers is not None:
+            warnings.warn("EvalConfig(workers=...) has no effect and will be "
+                          "removed: iterations run serially",
+                          FutureWarning, stacklevel=3)
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}")
         # RangeError, a ValueError: caught before any campaign is read
-        _check_int(self, "m_samples", 1)
-        _check_int(self, "iterations", 1)
-        _check_int(self, "seed", 0)
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
-        if not self.radius_m > 0.0:
-            raise ValueError(f"radius_m must be positive, got {self.radius_m}")
-        if self.jitter < 0.0:
-            raise ValueError(f"jitter must be >= 0, got {self.jitter}")
+        _check_int("m_samples", self.m_samples, 1)
+        _check_int("iterations", self.iterations, 1)
+        _check_int("seed", self.seed, 0)
+        _check_real("radius_m", self.radius_m, positive=True)
+        _check_real("jitter", self.jitter, positive=False)
         if self.calibrated and self.delta is None:
             _bin_axes(self.calibration_bin_deg)
             _check_min_support(self.calibration_min_support)
@@ -567,7 +565,6 @@ def _config_echo(cfg: EvalConfig) -> dict:
         "radius_m": cfg.radius_m,
         "iterations": cfg.iterations,
         "seed": cfg.seed,
-        "workers": cfg.workers,
         "train_campaign": campaign_repr(cfg.train_campaign),
         "test_campaign": campaign_repr(cfg.test_campaign),
     }

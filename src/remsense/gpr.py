@@ -6,6 +6,7 @@ on the diagonal.  One global factorization serves every prediction, so
 unlike the kriging predictors there is no neighborhood radius.
 """
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -203,12 +204,16 @@ def estimate_hyperparameters(samples, corr: CorrelationModel = None):
     horizontal-lag bins is extrapolated linearly to zero lag; the
     shortfall from 1 is read as the noise (nugget) fraction, clamped to
     at most 90% of the total variance so the latent part stays positive.
-    ``corr`` is not read: the split depends on the samples alone, and
-    the parameter stays so that calls passing a model keep working.
+    The split depends on the samples alone: ``corr`` is not read, stays
+    only so that calls passing a model keep working, and emits a
+    ``FutureWarning`` when given.
 
     Returns:
         ``(sigma_y, sigma_gp)`` in dB.
     """
+    if corr is not None:
+        warnings.warn("estimate_hyperparameters(samples, corr): corr has no "
+                      "effect and will be removed", FutureWarning, stacklevel=2)
     s = SampleSet.from_samples(samples)
     if len(s) < 3:
         raise InsufficientData("need at least three samples to split variance")

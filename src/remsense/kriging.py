@@ -19,7 +19,7 @@ import numpy as np
 from scipy.interpolate import PchipInterpolator
 from scipy.special import ndtri
 
-from .errors import InsufficientData, NoNeighbors, SingularSystem
+from .errors import InsufficientData, NoNeighbors, SingularSystem, _check_real
 from .geo import (
     GeoPoint,
     _blocks,
@@ -48,10 +48,8 @@ class KrigingConfig:
     jitter: float = 1e-6
 
     def __post_init__(self):
-        if not self.radius_m > 0.0:
-            raise ValueError(f"radius_m must be positive, got {self.radius_m}")
-        if self.jitter < 0.0:
-            raise ValueError(f"jitter must be >= 0, got {self.jitter}")
+        _check_real("radius_m", self.radius_m, positive=True)
+        _check_real("jitter", self.jitter, positive=False)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import RangeError
+from .errors import RangeError, _check_real
 from .geo import LinkGeometry
 from .patterns import AntennaPattern, gain_linear, isotropic_pattern
 
@@ -42,8 +42,10 @@ class PropagationConfig:
     pl_ceiling_db: float = 300.0
 
     def __post_init__(self):
-        if self.carrier_hz <= 0:
-            raise RangeError("carrier frequency must be positive")
+        _check_real("carrier_hz", self.carrier_hz, positive=True)
+        _check_real("tx_power_dbm", self.tx_power_dbm)
+        _check_real("ground_rel_permittivity", self.ground_rel_permittivity)
+        _check_real("pl_ceiling_db", self.pl_ceiling_db)
         if self.ground_rel_permittivity < 1.0:
             raise RangeError("relative permittivity must be >= 1")
         if self.polarization not in ("vertical", "horizontal"):

@@ -16,7 +16,7 @@ import numpy as np
 from scipy import linalg
 
 from .calibration import CalibratedDelta
-from .errors import ParseError, RangeError, TooManyPoints
+from .errors import ParseError, RangeError, TooManyPoints, _check_real
 from .geo import (GeoPoint, _lag_kernel, _lags, _point_columns,
                   _target_columns, from_local_xy, link_geometry_batch,
                   to_local_xy)
@@ -38,6 +38,10 @@ class Blob:
     radius_m: float
     depth_db: float
 
+    def __post_init__(self):
+        _check_real("radius_m", self.radius_m, positive=True)
+        _check_real("depth_db", self.depth_db)
+
 
 @dataclass(frozen=True)
 class SceneSpec:
@@ -55,6 +59,9 @@ class SceneSpec:
     blobs: tuple = ()
     pattern_distortion: Optional[CalibratedDelta] = None
     seed: int = 0
+
+    def __post_init__(self):
+        _check_real("noise_sd", self.noise_sd, positive=False)
 
 
 @dataclass(frozen=True)
@@ -125,8 +132,7 @@ def zigzag_trajectory(origin: GeoPoint, width_m: float, height_m: float,
 def ring_trajectory(center: GeoPoint, radius_m: float, alt_m: float,
                     sample_spacing_m: float = 5.0) -> Trajectory:
     """Closed circle around ``center`` sampled at roughly even arcs."""
-    if radius_m <= 0:
-        raise RangeError("ring radius must be positive")
+    _check_real("radius_m", radius_m, positive=True)
     n = max(8, int(round(2.0 * np.pi * radius_m / sample_spacing_m)))
     ang = 2.0 * np.pi * np.arange(n) / n
     x = radius_m * np.sin(ang)

@@ -114,6 +114,14 @@ def test_synth_requires_trajectory(work, tmp_path, capsys):
     assert "trajectory" in capsys.readouterr().err
     assert main(["synth", "--scene", str(work / "nope.json"),
                  "--out", str(tmp_path / "x.csv")]) == 3
+    # a scene setting that generation would drop is bad data
+    doc = json.loads((work / "scene.json").read_text())
+    for key, value in (("noise_sd", -1.0), ("noise_sd", float("nan"))):
+        bad = tmp_path / "bad_scene.json"
+        bad.write_text(json.dumps({**doc, key: value}))
+        assert main(["synth", "--scene", str(bad),
+                     "--out", str(tmp_path / "x.csv")]) == 3
+        assert "noise_sd must be" in capsys.readouterr().err
 
 
 def test_fit_corr_writes_model(work, tmp_path):
@@ -379,6 +387,46 @@ def test_eval_validation_exit_codes(work, tmp_path, capsys):
                          "--iterations", "1"]) == 2
             assert "must be finite" in capsys.readouterr().err
 
+    # so does a non-finite radio setting; reconstruct exits 3 on it, as on
+    # any other bad station or link setting
+    doc = json.loads((work / "eval_config.json").read_text())
+    prop_bad = tmp_path / "prop.json"
+    prop_bad.write_text(json.dumps(
+        {**doc, "prop": {**doc["prop"], "tx_power_dbm": float("nan")}}))
+    missing = str(tmp_path / "none.csv")
+    assert main(["eval", "--config", str(prop_bad), "--test", missing,
+                 "--iterations", "1"]) == 2
+    assert "tx_power_dbm must be finite" in capsys.readouterr().err
+    assert main(["reconstruct", "--config", str(prop_bad), "--measurements",
+                 missing, "--out", str(tmp_path / "grid.csv")]) == 3
+    assert "tx_power_dbm must be finite" in capsys.readouterr().err
+
+
+def test_eval_workers_warns_and_changes_nothing(work, tmp_path):
+    """``--workers`` and a config's ``workers`` key each warn once on
+    stderr and give the plain run's report, byte for byte."""
+    src = os.path.dirname(os.path.dirname(rs.__file__))
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONWARNINGS": "default"}
+    plain = work / "eval_config.json"
+    keyed = tmp_path / "workers.json"
+    keyed.write_text(json.dumps({**json.loads(plain.read_text()),
+                                 "workers": 4}))
+    reports = []
+    for k, (config, extra) in enumerate(((plain, []),
+                                         (plain, ["--workers", "4"]),
+                                         (keyed, []))):
+        out = tmp_path / f"report{k}.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "remsense.cli", "eval", "--config",
+             str(config), "--test", str(work / "test.csv"), "--method", "OK",
+             "--iterations", "3", "--out", str(out), *extra],
+            env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.count("FutureWarning") == (0 if k == 0 else 1)
+        reports.append(out.read_bytes())
+    assert reports[1] == reports[0] and reports[2] == reports[0]
+    assert "workers" not in json.loads(reports[0])["config"]
+
 
 def test_sweep_axis_and_csv(work, tmp_path, capsys):
     out = tmp_path / "sweep.csv"
@@ -420,6 +468,7 @@ def test_reconstruct_unknown_method_exits_before_reading(work, tmp_path,
                            (["--spacing", "-5"], "spacing must be positive"),
                            (["--radius", "0"], "radius_m must be positive"),
                            (["--radius", "-5"], "radius_m must be positive"),
+                           (["--radius", "inf"], "radius_m must be positive"),
                            (["--config", str(zero_radius)],
                             "radius_m must be positive")] + bad_mc:
         assert main(["reconstruct", "--measurements",

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -127,16 +128,32 @@ def test_repeat_run_bit_identical(gaussian_campaigns):
 
 
 def test_worker_count_does_not_change_results(gaussian_campaigns):
+    # with or without workers= the report is the same: the keyword warns
+    # once and is neither stored nor echoed
+    assert "workers" not in {f.name for f in dataclasses.fields(EvalConfig)}
     train, test, _ = gaussian_campaigns
     for method, iterations in (("OK", 8), ("GPR", 4), ("MC_GPR", 2)):
-        one, four = (
-            monte_carlo_eval(base_cfg(test, train, method=method,
-                                      iterations=iterations, workers=w))
-            for w in (1, 4)
-        )
-        assert one.rmse_db == four.rmse_db
-        assert one.elevation_bin_rmse_db == four.elevation_bin_rmse_db
-        assert one.counters == four.counters
+        kw = dict(method=method, iterations=iterations)
+        plain = monte_carlo_eval(base_cfg(test, train, **kw)).to_dict()
+        assert "workers" not in plain["config"]
+        for workers in (0, 4):
+            with pytest.warns(FutureWarning, match="no effect") as caught:
+                cfg = base_cfg(test, train, workers=workers, **kw)
+            assert len(caught) == 1
+            assert monte_carlo_eval(cfg).to_dict() == plain
+
+
+def test_sweep_warns_about_workers_once(gaussian_campaigns):
+    train, test, _ = gaussian_campaigns
+    with pytest.warns(FutureWarning, match="no effect") as caught:
+        base = base_cfg(test, train, iterations=2, workers=4)
+        reports = sweep(base, "R", [100.0, 200.0])
+    assert len(caught) == 1
+    assert [r.config["radius_m"] for r in reports] == [100.0, 200.0]
+    # replace() does not pass the init-only keyword on
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert dataclasses.replace(base, seed=9).seed == 9
 
 
 def test_gpr_fit_builds_one_correlation_table(monkeypatch,
@@ -154,7 +171,7 @@ def test_gpr_fit_builds_one_correlation_table(monkeypatch,
     fit = fit_residual_model(samples, "GPR")
     assert calls == [len(samples)]
     assert ((fit.sigma_y, fit.sigma_gp)
-            == estimate_hyperparameters(samples, fit.corr))
+            == estimate_hyperparameters(samples))
 
 
 def test_row_order_in_csv_does_not_matter(tmp_path, gaussian_campaigns):
@@ -409,8 +426,10 @@ def test_validation_errors(gaussian_campaigns):
         with pytest.raises(rs.RangeError, match=message):
             base_cfg("missing.csv", "missing.csv", calibrated=True, **bad)
     for bad in (dict(method="IDW"), dict(m_samples=0), dict(iterations=0),
-                dict(workers=0), dict(radius_m=0.0), dict(radius_m=-5.0),
-                dict(jitter=-1.0)):
+                dict(radius_m=0.0), dict(radius_m=-5.0),
+                dict(radius_m=np.nan), dict(radius_m=np.inf),
+                dict(jitter=-1.0), dict(jitter=np.nan),
+                dict(jitter=np.inf)):
         with pytest.raises(ValueError):
             base_cfg(test, **bad)
     # counts are integers, checked before any campaign is read

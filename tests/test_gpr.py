@@ -358,7 +358,7 @@ def test_fit_input_validation(monkeypatch):
 def test_hyperparameters_need_three_samples():
     pts = uniform_points(2, 100.0, seed=38)
     with pytest.raises(rs.InsufficientData):
-        estimate_hyperparameters(samples_of(pts, [1.0, 2.0]), CORR)
+        estimate_hyperparameters(samples_of(pts, [1.0, 2.0]))
 
 
 def test_noise_free_field_gets_small_nugget():
@@ -367,7 +367,7 @@ def test_noise_free_field_gets_small_nugget():
     fractions = []
     for trial in range(5):
         z = field_of(pts, smooth, 2.0, seed=700 + trial)
-        sy, sg = estimate_hyperparameters(samples_of(pts, z), smooth)
+        sy, sg = estimate_hyperparameters(samples_of(pts, z))
         fractions.append(sg**2 / (sy**2 + sg**2))
     assert np.mean(fractions) <= 0.1
 
@@ -376,10 +376,12 @@ def test_white_noise_hits_nugget_cap():
     pts = [offset_point(GS, 30.0 + 18.0 * (k % 25), 40.0 + 18.0 * (k // 25), 60.0)
            for k in range(500)]
     z = 2.0 * np.random.default_rng(99).standard_normal(500)
-    sy, sg = estimate_hyperparameters(samples_of(pts, z), CORR)
+    sy, sg = estimate_hyperparameters(samples_of(pts, z))
     assert sg**2 == pytest.approx(0.9 * (sy**2 + sg**2), rel=1e-9)
-    # the model is not read: the split is the samples' alone
-    assert estimate_hyperparameters(samples_of(pts, z)) == (sy, sg)
+    # the model is not read: the split is the samples' alone, and passing
+    # one only warns
+    with pytest.warns(FutureWarning, match="corr has no effect"):
+        assert estimate_hyperparameters(samples_of(pts, z), CORR) == (sy, sg)
 
 
 def test_variance_split_recovery_smooth_plus_noise():
@@ -392,7 +394,7 @@ def test_variance_split_recovery_smooth_plus_noise():
     est = []
     for _ in range(50):
         z = root @ rng.standard_normal(600) + rng.standard_normal(600)
-        est.append(estimate_hyperparameters(samples_of(pts, z), smooth))
+        est.append(estimate_hyperparameters(samples_of(pts, z)))
     mean_sy, mean_sg = np.mean(est, axis=0)
     assert abs(mean_sy - 2.0) <= 0.4
     assert abs(mean_sg - 1.0) <= 0.2

@@ -496,10 +496,12 @@ def test_mse_bounds_random_configs():
 
 
 def test_kriging_config_validation():
-    with pytest.raises(ValueError):
-        KrigingConfig(radius_m=0.0)
-    with pytest.raises(ValueError):
-        KrigingConfig(radius_m=100.0, jitter=-1.0)
+    for radius in (0.0, np.nan, np.inf):
+        with pytest.raises(rs.RangeError, match="radius_m must be positive"):
+            KrigingConfig(radius_m=radius)
+    for jitter in (-1.0, np.nan, np.inf):
+        with pytest.raises(rs.RangeError, match="jitter must be non-negative"):
+            KrigingConfig(radius_m=100.0, jitter=jitter)
 
 
 # ---------------------------------------------------------- batched engine

@@ -195,6 +195,16 @@ class TestConfigValidation:
         with pytest.raises(rs.RangeError):
             rs.PropagationConfig(carrier_hz=0.0, tx_power_dbm=0.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("carrier_hz", math.nan), ("carrier_hz", math.inf),
+        ("tx_power_dbm", math.nan), ("tx_power_dbm", -math.inf),
+        ("ground_rel_permittivity", math.nan), ("pl_ceiling_db", math.nan),
+    ])
+    def test_non_finite_settings(self, field, value):
+        kw = {"carrier_hz": 3.5e9, "tx_power_dbm": 0.0, field: value}
+        with pytest.raises(rs.RangeError, match=f"{field} must be"):
+            rs.PropagationConfig(**kw)
+
     def test_polarization_enum(self):
         with pytest.raises(ValueError):
             rs.PropagationConfig(carrier_hz=3.5e9, tx_power_dbm=0.0,

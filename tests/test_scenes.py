@@ -89,10 +89,25 @@ def test_trajectory_validation():
         lawnmower_trajectory(BASE, 100.0, 100.0, n_rows=1, alt_m=50.0)
     with pytest.raises(rs.RangeError):
         zigzag_trajectory(BASE, 100.0, 100.0, n_legs=0, alt_m=50.0)
-    with pytest.raises(rs.RangeError):
-        ring_trajectory(BASE, 0.0, alt_m=50.0)
+    for radius in (0.0, np.nan):
+        with pytest.raises(rs.RangeError):
+            ring_trajectory(BASE, radius, alt_m=50.0)
     with pytest.raises(rs.RangeError):
         custom_trajectory([BASE], sample_spacing_m=5.0)
+
+
+def test_scene_and_blob_validation():
+    for noise_sd in (-1.0, np.nan, np.inf):
+        with pytest.raises(rs.RangeError, match="noise_sd"):
+            SceneSpec(gs=GS, cfg=PROP, corr=CORR, noise_sd=noise_sd)
+    for radius in (0.0, -10.0, np.nan, np.inf):
+        with pytest.raises(rs.RangeError, match="radius_m"):
+            Blob(BASE, radius, -10.0)
+    for depth in (np.nan, -np.inf):
+        with pytest.raises(rs.RangeError, match="depth_db"):
+            Blob(BASE, 40.0, depth)
+    SceneSpec(gs=GS, cfg=PROP, corr=CORR, noise_sd=0.0,
+              blobs=(Blob(BASE, 40.0, 0.0),))
 
 
 # ---------------------------------------------------------------- campaigns
