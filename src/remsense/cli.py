@@ -1,16 +1,18 @@
 """Command-line front end.
 
 Subcommands: synth, fit-corr, calibrate, reconstruct, eval, sweep.
-Every subcommand but synth takes ``--config FILE``, whose keys the
-README lists per command.  Outputs are CSV or JSON.  Exit codes:
-0 success, 2 validation (bad flags, bad config), 3 runtime (bad data,
-failed fit, I/O during processing).
+Every subcommand but synth takes ``--config FILE``; ``_COMMAND_KEYS``
+lists the keys each one reads, and ``_configure`` reads and checks them.
+Outputs are CSV or JSON.  Exit codes: 0 success, 2 validation (a bad flag
+or config key, checked before any data file is read), 3 runtime (bad
+data, failed fit, I/O during processing).
 """
 
 import argparse
 import dataclasses
 import json
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -24,7 +26,7 @@ from .calibration import (
     write_delta_csv,
 )
 from .completion import McConfig, build_grid
-from .errors import RangeError, RemSenseError, _check_real
+from .errors import RemSenseError, _check_real
 from .evaluation import (
     METHODS,
     SWEEP_AXES,
@@ -56,37 +58,114 @@ class _ConfigProblem(Exception):
     """Raised while assembling a command's configuration."""
 
 
-def _load_config(path):
-    if path is None:
-        return {}
-    with open(path) as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise _ConfigProblem("config file must hold a JSON object")
-    return doc
+def _boolean(value):
+    if not isinstance(value, bool):
+        raise TypeError(f"must be true or false, got {value!r}")
+    return value
 
 
-def _require(doc: dict, key: str):
-    if key not in doc:
-        raise _ConfigProblem(f"config is missing required key '{key}'")
-    return doc[key]
+def _checked(check):
+    """A parser that returns the value once ``check`` accepts it."""
+    def parse(value):
+        check(value)
+        return value
+    return parse
 
 
-def _station_and_prop(doc: dict):
-    gs = _geopoint_from_dict(_require(doc, "gs"))
-    prop = _prop_from_dict(_require(doc, "prop"))
-    return gs, prop
+# config key -> (flag dest or None, parser or None).  A flag that is set
+# wins over its key; the parser builds or checks the value, whichever
+# set it, and its errors name that key or flag.
+_KEYS = {
+    "gs": (None, _geopoint_from_dict),
+    "prop": (None, _prop_from_dict),
+    "test_campaign": ("test", None),
+    "train_campaign": ("train", None),
+    "method": ("method", None),
+    "m_samples": ("m_samples", None),
+    "radius_m": ("radius", None),
+    "iterations": ("iterations", None),
+    "seed": ("seed", None),
+    "delta_csv": ("delta_csv", None),
+    "calibrated": ("calibrated", _boolean),
+    "mean_z": (None, None),
+    "corr_model": (None, _corr_from_dict),
+    "sigma_split": (None, None),
+    "calibration_bin_deg": ("bin_deg", _checked(_bin_axes)),
+    "calibration_min_support": ("min_support", _checked(_check_min_support)),
+    "mc": (None, lambda d: McConfig(**d)),
+    "workers": ("workers", None),
+}
+_REQUIRED = ("gs", "prop")
+_COMMAND_KEYS = {
+    "fit-corr": _REQUIRED,
+    "calibrate": _REQUIRED + ("calibration_bin_deg",
+                              "calibration_min_support"),
+    "reconstruct": _REQUIRED + ("method", "radius_m", "delta_csv", "mc"),
+    "eval": tuple(_KEYS),
+    "sweep": tuple(_KEYS),
+}
 
 
-def _mc_from_dict(d: dict) -> McConfig:
-    allowed = {f.name for f in dataclasses.fields(McConfig)}
-    unknown = set(d) - allowed
-    if unknown:
-        raise _ConfigProblem(f"unknown mc keys: {sorted(unknown)}")
+def _configure(args) -> dict:
+    """Read and check every setting of ``args.command``, before any data.
+
+    Each key the command reads comes from the config file, or from its
+    flag when that is set.  A key that is absent or null and a flag that
+    is not given are left out, so the library's own defaults apply.
+    Returns the settings by key; ``eval`` and ``sweep`` get their
+    ``EvalConfig`` as ``"cfg"``.  Every KeyError, TypeError or ValueError
+    raised while they are read and checked becomes a _ConfigProblem
+    (exit 2).  Only then is the ``delta_csv`` file read into ``"delta"``
+    (and into the ``EvalConfig``), so a bad one keeps exit 3, as the
+    measurement files the command reads later do.
+    """
+    command, where = args.command, None
     try:
-        return McConfig(**d)
-    except RangeError as exc:
-        raise _ConfigProblem(f"mc: {exc}") from None
+        config = ({} if args.config is None
+                  else json.loads(Path(args.config).read_text()))
+        if not isinstance(config, dict):
+            raise ValueError("config file must hold a JSON object")
+        for key in sorted(set(config) - set(_KEYS)):
+            print(f"warning: unknown config key '{key}'", file=sys.stderr)
+        s = {}
+        for key in _COMMAND_KEYS[command]:
+            dest, parse = _KEYS[key]
+            flag = getattr(args, dest, None) if dest else None
+            value = config.get(key) if flag is None else flag
+            if value is None:
+                if key in _REQUIRED:
+                    raise _ConfigProblem(
+                        f"config is missing required key '{key}'")
+                continue
+            where = key if flag is None else "--" + dest.replace("_", "-")
+            s[key] = parse(value) if parse else value
+        where = None
+
+        if command == "reconstruct":
+            s = {"method": "OK", "radius_m": 200.0, "mc": McConfig(), **s}
+            if s["method"] not in METHODS:
+                raise ValueError(f"method must be one of {METHODS}")
+            _check_real("radius_m", s["radius_m"], positive=True)
+            _check_real("--spacing", args.spacing, positive=True)
+            if args.alt is not None:
+                _check_real("--alt", args.alt)
+        elif command in ("eval", "sweep"):
+            fields = {k: v for k, v in s.items() if k != "delta_csv"}
+            s["cfg"] = EvalConfig(
+                test_campaign=fields.pop("test_campaign", None), **fields)
+            if command == "sweep":
+                s["values"] = _sweep_values(args.axis, args.values)
+            if (s["cfg"].test_campaign is None
+                    and getattr(args, "axis", None) != "altitude_campaign"):
+                raise _ConfigProblem("a test campaign is required (--test)")
+    except (KeyError, TypeError, ValueError) as exc:
+        message = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise _ConfigProblem(
+            f"{where}: {message}" if where else str(message)) from None
+    s["delta"] = read_delta_csv(s["delta_csv"]) if s.get("delta_csv") else None
+    if s["delta"] is not None and "cfg" in s:
+        s["cfg"] = dataclasses.replace(s["cfg"], delta=s["delta"])
+    return s
 
 
 # ---------------------------------------------------------------- synth
@@ -108,11 +187,10 @@ def _cmd_synth(args):
 
 
 def _cmd_fit_corr(args):
-    doc = _load_config(args.config)
-    gs, prop = _station_and_prop(doc)
+    s = _configure(args)
     measurements = ingest_measurements(args.measurements)
     print(f"read {len(measurements)} measurements")
-    sf = extract_sf(measurements, prop, gs)
+    sf = extract_sf(measurements, s["prop"], s["gs"])
     table = empirical_correlation(sf)
     model = fit_correlation_model(table)
     out = {
@@ -135,23 +213,15 @@ def _cmd_fit_corr(args):
 
 
 def _cmd_calibrate(args):
-    doc = _load_config(args.config)
-    gs, prop = _station_and_prop(doc)
-    bin_deg = args.bin_deg if args.bin_deg is not None else doc.get(
-        "calibration_bin_deg", 5.0)
-    min_support = args.min_support if args.min_support is not None else doc.get(
-        "calibration_min_support", 25)
-    try:
-        _bin_axes(bin_deg)
-        _check_min_support(min_support)
-    except RangeError as exc:
-        raise _ConfigProblem(f"calibrate: {exc}") from None
+    s = _configure(args)
+    prop = s["prop"]
+    binning = {_KEYS[key][0]: value for key, value in s.items()
+               if key.startswith("calibration_")}
     measurements = ingest_measurements(args.measurements)
     print(f"read {len(measurements)} measurements")
-    ratios = estimate_a_uav(measurements, prop, gs, campaign=args.measurements)
-    effective = estimate_effective_pattern(
-        ratios, prop.gs_pattern, bin_deg=bin_deg, min_support=min_support
-    )
+    ratios = estimate_a_uav(measurements, prop, s["gs"],
+                            campaign=args.measurements)
+    effective = estimate_effective_pattern(ratios, prop.gs_pattern, **binning)
     delta = delta_gain(effective, prop.uav_pattern)
     write_delta_csv(args.out, delta)
     n_sup = int(np.count_nonzero(delta.supported))
@@ -163,23 +233,8 @@ def _cmd_calibrate(args):
 
 
 def _cmd_reconstruct(args):
-    doc = _load_config(args.config)
-    gs, prop = _station_and_prop(doc)
-    method = args.method or doc.get("method", "OK")
-    if method not in METHODS:
-        raise _ConfigProblem(f"method must be one of {METHODS}")
-    if not args.spacing > 0:
-        raise _ConfigProblem(f"spacing must be positive, got {args.spacing:g}")
-    radius_m = args.radius if args.radius is not None else doc.get(
-        "radius_m", 200.0)
-    try:
-        _check_real("radius_m", radius_m, positive=True)
-    except RangeError as exc:
-        raise _ConfigProblem(str(exc)) from None
-    mc = _mc_from_dict(doc.get("mc", {}))
-    delta = None
-    if args.delta_csv:
-        delta = read_delta_csv(args.delta_csv)
+    s = _configure(args)
+    gs, prop, method, delta = s["gs"], s["prop"], s["method"], s["delta"]
     measurements = ingest_measurements(args.measurements)
     print(f"read {len(measurements)} measurements")
     samples = extract_sf(measurements, prop, gs, delta_gain=delta)
@@ -199,7 +254,7 @@ def _cmd_reconstruct(args):
     fit = (None if method == "TRPL_only"
            else fit_residual_model(samples, method))
     z_hat = predict_residuals(method, fit, samples, lat_q, lon_q, alt_q,
-                              radius_m=radius_m, mc=mc)
+                              radius_m=s["radius_m"], mc=s["mc"])
     power = rhat + z_hat
     with open(args.out, "w", newline="") as fh:
         fh.write("lat_deg,lon_deg,alt_m,power_dbm\n")
@@ -215,57 +270,8 @@ def _cmd_reconstruct(args):
 # ------------------------------------------------------------------ eval
 
 
-def _eval_config(args, doc):
-    gs, prop = _station_and_prop(doc)
-
-    def pick(flag, key, default):
-        return flag if flag is not None else doc.get(key, default)
-
-    corr = None
-    if doc.get("corr_model") is not None:
-        corr = _corr_from_dict(doc["corr_model"])
-    delta = None
-    delta_path = pick(getattr(args, "delta_csv", None), "delta_csv", None)
-    if delta_path:
-        delta = read_delta_csv(delta_path)
-    sigma_split = doc.get("sigma_split")
-    if sigma_split is not None:
-        sigma_split = tuple(float(v) for v in sigma_split)
-    calibrated = doc.get("calibrated", False)
-    if getattr(args, "calibrated", False):
-        calibrated = True
-
-    return EvalConfig(
-        gs=gs,
-        prop=prop,
-        test_campaign=pick(args.test, "test_campaign", None),
-        train_campaign=pick(args.train, "train_campaign", None),
-        method=pick(args.method, "method", "OK"),
-        calibrated=calibrated,
-        m_samples=pick(args.m_samples, "m_samples", 100),
-        radius_m=pick(args.radius, "radius_m", 200.0),
-        iterations=pick(args.iterations, "iterations", 5000),
-        seed=pick(args.seed, "seed", 0),
-        workers=pick(args.workers, "workers", None),
-        mean_z=doc.get("mean_z"),
-        corr_model=corr,
-        sigma_split=sigma_split,
-        delta=delta,
-        calibration_bin_deg=doc.get("calibration_bin_deg", 5.0),
-        calibration_min_support=doc.get("calibration_min_support", 25),
-        mc=_mc_from_dict(doc.get("mc", {})),
-    )
-
-
 def _cmd_eval(args):
-    doc = _load_config(args.config)
-    try:
-        cfg = _eval_config(args, doc)
-    except (TypeError, ValueError, KeyError) as exc:
-        raise _ConfigProblem(str(exc)) from None
-    if cfg.test_campaign is None:
-        raise _ConfigProblem("a test campaign is required (--test)")
-    report = monte_carlo_eval(cfg)
+    report = monte_carlo_eval(_configure(args)["cfg"])
     payload = report.to_dict()
     if args.out:
         with open(args.out, "w") as fh:
@@ -288,24 +294,14 @@ def _sweep_values(axis, raw):
     parts = [p for p in (s.strip() for s in raw.split(",")) if p]
     if not parts:
         raise _ConfigProblem("--values is empty")
-    if axis == "M":
-        return [int(p) for p in parts]
-    if axis == "R":
-        return [float(p) for p in parts]
-    return parts
+    cast = {"M": int, "R": float}.get(axis, str)
+    return [cast(p) for p in parts]
 
 
 def _cmd_sweep(args):
-    doc = _load_config(args.config)
-    try:
-        base = _eval_config(args, doc)
-        values = _sweep_values(args.axis, args.values)
-    except (TypeError, ValueError, KeyError) as exc:
-        raise _ConfigProblem(str(exc)) from None
-    if base.test_campaign is None and args.axis != "altitude_campaign":
-        raise _ConfigProblem("a test campaign is required (--test)")
-    reports = sweep(base, args.axis, values, out_csv=args.out)
-    for value, report in zip(values, reports):
+    s = _configure(args)
+    reports = sweep(s["cfg"], args.axis, s["values"], out_csv=args.out)
+    for value, report in zip(s["values"], reports):
         print(
             f"{args.axis}={value}: median RMSE "
             f"{report.median_rmse_db:.4f} dB"
@@ -387,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="has no effect and will be removed; given here "
                        "or as the config key, it only warns: iterations run "
                        "serially")
-        p.add_argument("--calibrated", action="store_true")
+        p.add_argument("--calibrated", action="store_true", default=None)
         p.add_argument("--delta-csv", default=None, dest="delta_csv")
         if name == "eval":
             p.add_argument("--out", default=None, help="report JSON path")

@@ -6,6 +6,7 @@ input data additionally derive from ``ValueError``.
 """
 
 import csv
+import numbers
 
 import numpy as np
 
@@ -19,11 +20,13 @@ class RangeError(RemSenseError, ValueError):
 
 
 def _check_real(name, v, positive=None):
-    """Raise RangeError unless the value ``v`` of ``name`` is finite and,
-    when ``positive`` is given, > 0 (True) or >= 0 (False)."""
+    """Raise RangeError unless the value ``v`` of ``name`` is a finite real
+    number (not a bool, string or None) and, when ``positive`` is given,
+    > 0 (True) or >= 0 (False)."""
     bound = {None: "", True: "positive and ", False: "non-negative and "}
-    if not (np.isfinite(v) and (positive is None
-                                or (v > 0 if positive else v >= 0))):
+    if (isinstance(v, bool) or not isinstance(v, numbers.Real)
+            or not (np.isfinite(v) and (positive is None
+                                        or (v > 0 if positive else v >= 0)))):
         raise RangeError(f"{name} must be {bound[positive]}finite, got {v!r}")
 
 

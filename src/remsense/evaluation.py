@@ -33,6 +33,7 @@ from .errors import (
     FitDiverged,
     InsufficientData,
     ParseError,
+    RangeError,
     _check_int,
     _check_real,
     _read_csv_rows,
@@ -121,6 +122,18 @@ class EvalConfig:
         _check_int("seed", self.seed, 0)
         _check_real("radius_m", self.radius_m, positive=True)
         _check_real("jitter", self.jitter, positive=False)
+        if self.mean_z is not None:
+            _check_real("mean_z", self.mean_z)
+        if self.sigma_split is not None:
+            split = self.sigma_split
+            if (not isinstance(split, (list, tuple, np.ndarray))
+                    or len(split) != 2):
+                raise RangeError(
+                    f"sigma_split must hold two reals, got {split!r}")
+            for v in split:
+                _check_real("sigma_split", v, positive=False)
+            # frozen: store the checked pair as floats
+            object.__setattr__(self, "sigma_split", tuple(map(float, split)))
         if self.calibrated and self.delta is None:
             _bin_axes(self.calibration_bin_deg)
             _check_min_support(self.calibration_min_support)

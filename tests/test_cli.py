@@ -8,7 +8,12 @@ import numpy as np
 import pytest
 
 import remsense as rs
-from remsense.calibration import read_delta_csv
+from remsense.calibration import (
+    CalibratedDelta,
+    _bin_axes,
+    read_delta_csv,
+    write_delta_csv,
+)
 from remsense.cli import main
 from remsense import geo, gpr, kriging
 from remsense.evaluation import fit_residual_model, ingest_measurements
@@ -387,8 +392,8 @@ def test_eval_validation_exit_codes(work, tmp_path, capsys):
                          "--iterations", "1"]) == 2
             assert "must be finite" in capsys.readouterr().err
 
-    # so does a non-finite radio setting; reconstruct exits 3 on it, as on
-    # any other bad station or link setting
+    # so does a non-finite radio setting, from every command that reads
+    # `prop`: reconstruct exits 2 on it too, before the measurements
     doc = json.loads((work / "eval_config.json").read_text())
     prop_bad = tmp_path / "prop.json"
     prop_bad.write_text(json.dumps(
@@ -398,8 +403,123 @@ def test_eval_validation_exit_codes(work, tmp_path, capsys):
                  "--iterations", "1"]) == 2
     assert "tx_power_dbm must be finite" in capsys.readouterr().err
     assert main(["reconstruct", "--config", str(prop_bad), "--measurements",
-                 missing, "--out", str(tmp_path / "grid.csv")]) == 3
+                 missing, "--out", str(tmp_path / "grid.csv")]) == 2
     assert "tx_power_dbm must be finite" in capsys.readouterr().err
+
+
+def _with(**changes):
+    """A config edit: the station config with top-level keys replaced
+    (a value of None drops the key) or merged into ``gs``/``prop``."""
+    def edit(doc):
+        doc = dict(doc)
+        for key, value in changes.items():
+            if key in ("gs", "prop") and value is not None:
+                value = {**doc[key], **value}
+            doc[key] = value
+        return {k: v for k, v in doc.items() if v is not None}
+    return edit
+
+
+COMMANDS = ("fit-corr", "calibrate", "reconstruct", "eval", "sweep")
+EVALS = ("eval", "sweep")
+# (case, config edit, key named on stderr, commands that read the key)
+BAD_CONFIGS = [
+    ("missing gs", _with(gs=None), "gs", COMMANDS),
+    ("latitude 200", _with(gs={"lat_deg": 200}), "gs", COMMANDS),
+    ("NaN tx power", _with(prop={"tx_power_dbm": float("nan")}), "prop",
+     COMMANDS),
+    ("bad polarization", _with(prop={"polarization": "diagonal"}), "prop",
+     COMMANDS),
+    ("unknown preset", _with(prop={"gs_pattern": {"preset": "yagi"}}),
+     "prop", COMMANDS),
+    ("string radius", _with(radius_m="200"), "radius_m",
+     ("reconstruct",) + EVALS),
+    ("boolean radius", _with(radius_m=True), "radius_m",
+     ("reconstruct",) + EVALS),
+    ("string calibrated", _with(calibrated="false"), "calibrated", EVALS),
+    ("NaN mean_z", _with(mean_z=float("nan")), "mean_z", EVALS),
+    ("one sigma", _with(sigma_split=[1.0]), "sigma_split", EVALS),
+    ("negative sigma", _with(sigma_split=[-1.0, 1.0]), "sigma_split", EVALS),
+]
+
+
+def _argv(command, config, missing, out):
+    if command in EVALS:
+        argv = [command, "--config", config, "--test", missing, "--train",
+                missing, "--out", out]
+        return argv + (["--axis", "M", "--values", "20"]
+                       if command == "sweep" else [])
+    return [command, "--measurements", missing, "--config", config,
+            "--out", out]
+
+
+@pytest.mark.parametrize("command,edit,key", [
+    pytest.param(command, edit, key, id=f"{command}-{case}")
+    for case, edit, key, commands in BAD_CONFIGS for command in commands])
+def test_bad_config_exits_2_before_reading(work, tmp_path, capsys, command,
+                                           edit, key):
+    """Every command that reads a key rejects a bad value of it with exit 2,
+    naming the key, before the (missing) data file is opened."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(edit(json.loads(
+        (work / "config.json").read_text()))))
+    out = tmp_path / "out"
+    assert main(_argv(command, str(config), str(tmp_path / "none.csv"),
+                      str(out))) == 2
+    err = capsys.readouterr().err
+    assert key in err and "none.csv" not in err, err
+    assert not out.exists()
+
+
+def test_malformed_delta_csv_exits_3(work, tmp_path, capsys):
+    junk = tmp_path / "delta.csv"
+    junk.write_text("wrong,header\n")
+    out = tmp_path / "out"
+    for argv in (["eval", "--config", str(work / "eval_config.json"),
+                  "--test", str(work / "test.csv"), "--iterations", "1"],
+                 ["reconstruct", "--measurements", str(work / "quiet.csv"),
+                  "--config", str(work / "config.json")]):
+        assert main(argv + ["--delta-csv", str(junk), "--out", str(out)]) == 3
+        assert "expected header" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def _grid(work, tmp_path, name, config, *extra):
+    out = tmp_path / f"{name}.csv"
+    assert main(["reconstruct", "--measurements", str(work / "quiet.csv"),
+                 "--config", str(config), "--out", str(out),
+                 "--method", "TRPL_only", "--spacing", "30", *extra]) == 0
+    return out.read_bytes()
+
+
+def test_unknown_config_key_warns_and_changes_nothing(work, tmp_path,
+                                                      capsys):
+    doc = json.loads((work / "config.json").read_text())
+    # `corr_model` is read by eval only, so reconstruct passes it silently
+    keyed = tmp_path / "keyed.json"
+    keyed.write_text(json.dumps({**doc, "radius": 5,
+                                 "corr_model": _corr_to_dict(CORR)}))
+    plain = _grid(work, tmp_path, "plain", work / "config.json")
+    capsys.readouterr()
+    assert _grid(work, tmp_path, "keyed", keyed) == plain
+    warnings = [line for line in capsys.readouterr().err.splitlines()
+                if line.startswith("warning:")]
+    assert warnings == ["warning: unknown config key 'radius'"]
+
+
+def test_reconstruct_reads_the_config_delta_csv(work, tmp_path):
+    az, el = _bin_axes(45.0)
+    delta = tmp_path / "delta.csv"
+    write_delta_csv(delta, CalibratedDelta(
+        az, el, np.linspace(-3.0, 3.0, az.size * el.size).reshape(
+            az.size, el.size), np.full((az.size, el.size), 30), 1))
+    keyed = tmp_path / "keyed.json"
+    keyed.write_text(json.dumps({**json.loads(
+        (work / "config.json").read_text()), "delta_csv": str(delta)}))
+    by_flag = _grid(work, tmp_path, "flag", work / "config.json",
+                    "--delta-csv", str(delta))
+    assert _grid(work, tmp_path, "key", keyed) == by_flag
+    assert by_flag != _grid(work, tmp_path, "plain", work / "config.json")
 
 
 def test_eval_workers_warns_and_changes_nothing(work, tmp_path):
@@ -466,6 +586,8 @@ def test_reconstruct_unknown_method_exits_before_reading(work, tmp_path,
     for extra, message in [(["--method", "IDW"], "method must be one of"),
                            (["--spacing", "0"], "spacing must be positive"),
                            (["--spacing", "-5"], "spacing must be positive"),
+                           (["--spacing", "inf"], "spacing must be positive"),
+                           (["--alt", "nan"], "--alt must be finite"),
                            (["--radius", "0"], "radius_m must be positive"),
                            (["--radius", "-5"], "radius_m must be positive"),
                            (["--radius", "inf"], "radius_m must be positive"),

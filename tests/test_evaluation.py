@@ -440,6 +440,22 @@ def test_validation_errors(gaussian_campaigns):
             base_cfg("missing.csv", "missing.csv", **{name: value})
     base_cfg(test, m_samples=np.int64(50), iterations=np.int64(2),
              seed=np.int64(0))
+    # so are mean_z, sigma_split and the type of every real setting
+    for bad, message in ((dict(mean_z=np.nan), "mean_z must be finite"),
+                         (dict(mean_z="0"), "mean_z must be finite"),
+                         (dict(sigma_split=[1.0]), "sigma_split must hold"),
+                         (dict(sigma_split=2.0), "sigma_split must hold"),
+                         (dict(sigma_split=[-1.0, 1.0]),
+                          "sigma_split must be non-negative"),
+                         (dict(sigma_split=[1.0, np.inf]),
+                          "sigma_split must be non-negative"),
+                         (dict(radius_m="200"), "got '200'"),
+                         (dict(radius_m=True), "got True"),
+                         (dict(radius_m=None), "got None")):
+        with pytest.raises(rs.RangeError, match=message):
+            base_cfg("missing.csv", "missing.csv", **bad)
+    assert base_cfg(test, sigma_split=[2, np.float64(1.5)]).sigma_split == (
+        2.0, 1.5)
 
 
 def test_mc_gpr_rejects_a_multi_altitude_test_campaign(gaussian_campaigns):
