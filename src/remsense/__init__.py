@@ -29,7 +29,6 @@ from .completion import (
     decompose_deep_shadow,
     dilate_deep_shadow,
     gpr_to_grid,
-    mc_assisted_predict,
     nuclear_norm_min,
     nuclear_norm_project,
 )
@@ -39,7 +38,6 @@ from .errors import (
     DuplicateLocations,
     FitDiverged,
     InsufficientData,
-    NoNeighbors,
     NoSupportedBins,
     ParseError,
     RangeError,
@@ -62,13 +60,11 @@ from .geo import (
     horizontal_distance,
     link_geometry,
     link_geometry_batch,
-    vertical_distance,
 )
 from .gpr import (
     GprModel,
     estimate_hyperparameters,
     gpr_fit,
-    gpr_predict,
     gpr_predict_batch,
     gpr_predict_mean,
 )
@@ -77,12 +73,8 @@ from .kriging import (
     KrigingPrediction,
     NormalScoreTransform,
     normal_score,
-    ok_predict,
     predict,
     predict_batch,
-    select_neighbors,
-    sk_predict,
-    tg_predict,
 )
 from .patterns import (
     AntennaPattern,
@@ -127,48 +119,39 @@ from .shadowing import (
     Measurement,
     SampleSet,
     SfSample,
-    correlation,
-    covariance,
     empirical_correlation,
-    estimate_sigma,
     extract_sf,
     fit_correlation_model,
-    semivariogram,
     transformed_model,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "AmplitudeRatios", "AntennaPattern", "BinnedPattern", "Blob",
     "CalibratedDelta", "Campaign", "CampaignValues", "CorrelationModel",
     "CorrelationTable", "DegenerateExtent", "DegenerateLink",
-    "DuplicateLocations", "EARTH_RADIUS_M", "EvalConfig",
-    "EvaluationReport", "FitDiverged", "GeoPoint", "GprModel", "GridSpec",
-    "InsufficientData", "KrigingConfig", "KrigingPrediction",
-    "LinkGeometry", "McAssistedGpr", "McConfig", "McResult", "Measurement",
-    "NoNeighbors", "NoSupportedBins", "NormalScoreTransform", "ParseError",
-    "PropagationConfig", "RangeError", "RemSenseError", "SPEED_OF_LIGHT",
-    "SampleSet", "SceneSpec", "SfSample", "ShadowGrid", "SingularSystem",
-    "SyntheticTruth", "TooManyPoints", "Trajectory", "build_grid",
-    "calibrated_received_power_db", "correlation", "covariance",
+    "DuplicateLocations", "EARTH_RADIUS_M", "EvalConfig", "EvaluationReport",
+    "FitDiverged", "GeoPoint", "GprModel", "GridSpec", "InsufficientData",
+    "KrigingConfig", "KrigingPrediction", "LinkGeometry", "McAssistedGpr",
+    "McConfig", "McResult", "Measurement", "NoSupportedBins",
+    "NormalScoreTransform", "ParseError", "PropagationConfig", "RangeError",
+    "RemSenseError", "SPEED_OF_LIGHT", "SampleSet", "SceneSpec", "SfSample",
+    "ShadowGrid", "SingularSystem", "SyntheticTruth", "TooManyPoints",
+    "Trajectory", "build_grid", "calibrated_received_power_db",
     "custom_trajectory", "decompose_deep_shadow", "delta_gain",
     "dilate_deep_shadow", "dipole_pattern", "empirical_correlation",
-    "estimate_a_uav", "estimate_effective_pattern",
-    "estimate_hyperparameters", "estimate_sigma", "extract_sf",
-    "fit_correlation_model", "gain_at", "generate_campaign", "gpr_fit",
-    "gpr_predict", "gpr_predict_batch", "gpr_predict_mean", "gpr_to_grid",
+    "estimate_a_uav", "estimate_effective_pattern", "estimate_hyperparameters",
+    "extract_sf", "fit_correlation_model", "gain_at", "generate_campaign",
+    "gpr_fit", "gpr_predict_batch", "gpr_predict_mean", "gpr_to_grid",
     "horizontal_distance", "ingest_measurements", "isotropic_pattern",
     "lawnmower_trajectory", "link_geometry", "link_geometry_batch",
-    "mc_assisted_predict", "monte_carlo_eval", "normal_score",
-    "nuclear_norm_min", "nuclear_norm_project", "ok_predict",
-    "pattern_from_dict", "pattern_to_dict", "predict", "predict_batch",
-    "read_delta_csv", "read_pattern_csv", "reflection_coefficient",
-    "ring_trajectory",
-    "sample_correlated_field", "scene_from_json", "scene_to_json",
-    "sector_blockage_delta", "select_neighbors", "semivariogram",
-    "sk_predict", "stack_altitudes", "sweep", "tg_predict",
-    "transformed_model", "trpl_attenuation", "trpl_path_loss_db",
-    "trpl_received_power_db", "vertical_distance", "write_delta_csv",
+    "monte_carlo_eval", "normal_score", "nuclear_norm_min",
+    "nuclear_norm_project", "pattern_from_dict", "pattern_to_dict", "predict",
+    "predict_batch", "read_delta_csv", "read_pattern_csv",
+    "reflection_coefficient", "ring_trajectory", "sample_correlated_field",
+    "scene_from_json", "scene_to_json", "sector_blockage_delta",
+    "stack_altitudes", "sweep", "transformed_model", "trpl_attenuation",
+    "trpl_path_loss_db", "trpl_received_power_db", "write_delta_csv",
     "write_measurements_csv", "write_pattern_csv", "zigzag_trajectory",
 ]

@@ -9,6 +9,7 @@ delta applied to later deterministic predictions.
 """
 
 import csv
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -78,9 +79,14 @@ def _bin_axes(bin_deg: float):
 
 
 def _check_min_support(min_support):
+    """Raise RangeError unless ``min_support`` is a whole count >= 1; an
+    integral float such as 25.0 passes, a bool or 2.5 does not."""
     # below one sample, empty bins would count as supported at -inf dBi
-    if not min_support >= 1:
-        raise RangeError(f"min_support must be >= 1, got {min_support}")
+    if (isinstance(min_support, bool)
+            or not isinstance(min_support, numbers.Real)
+            or not (min_support >= 1 and float(min_support).is_integer())):
+        raise RangeError(f"min_support must be >= 1 and a whole number, "
+                         f"got {min_support!r}")
 
 
 def _bin_index(az, el, bin_deg, n_az, n_el):

@@ -305,18 +305,3 @@ class McAssistedGpr:
         x = np.clip(x, 0.0, self._extent[1])
         out = self._spline.ev(y, x)
         return float(out[0]) if scalar else out
-
-
-def mc_assisted_predict(samples, model: GprModel, cfg: McConfig,
-                        target: GeoPoint) -> float:
-    """One-shot convenience wrapper around :class:`McAssistedGpr`.
-
-    The grid pipeline is rebuilt on every call; hold an
-    :class:`McAssistedGpr` instead when predicting at many targets.
-    ``samples`` only seeds the grid extent and may be None to use the
-    model's training set.
-    """
-    spec = build_grid(samples, cfg.grid_spacing_m) if samples is not None else None
-    pipeline = McAssistedGpr(model, cfg, spec)
-    return pipeline.predict(target.lat_deg, target.lon_deg)
-

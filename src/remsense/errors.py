@@ -50,10 +50,6 @@ class FitDiverged(RemSenseError):
     """Model fit ended with a residual too large to trust."""
 
 
-class NoNeighbors(RemSenseError):
-    """No sample falls inside the prediction radius around the target."""
-
-
 class SingularSystem(RemSenseError):
     """A linear system could not be solved, even after a jitter retry."""
 

@@ -120,11 +120,6 @@ def horizontal_distance(a: GeoPoint, b: GeoPoint) -> float:
     )
 
 
-def vertical_distance(a: GeoPoint, b: GeoPoint) -> float:
-    """Absolute altitude difference in metres."""
-    return abs(a.alt_m - b.alt_m)
-
-
 def _arc_distance(lat1, lon1, lat2, lon2):
     """Spherical arc length, vectorized, degrees in / metres out.
 

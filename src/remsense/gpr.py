@@ -6,7 +6,6 @@ on the diagonal.  One global factorization serves every prediction, so
 unlike the kriging predictors there is no neighborhood radius.
 """
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -15,7 +14,7 @@ from scipy.linalg import blas
 
 from .errors import (DuplicateLocations, InsufficientData, SingularSystem,
                      TooManyPoints)
-from .geo import (GeoPoint, _blocks, _cross_lags, _grid_axes, _grid_lags,
+from .geo import (_blocks, _cross_lags, _grid_axes, _grid_lags,
                   _lag_kernel, _target_columns)
 from .shadowing import (CorrelationModel, SampleSet, empirical_correlation,
                         transformed_model)
@@ -191,29 +190,17 @@ def gpr_predict_batch(model: GprModel, lat, lon, alt):
     return z_hat, var
 
 
-def gpr_predict(model: GprModel, target: GeoPoint):
-    """Posterior mean and variance at a single location."""
-    z, v = gpr_predict_batch(model, target.lat_deg, target.lon_deg, target.alt_m)
-    return float(z[0]), float(v[0])
-
-
-def estimate_hyperparameters(samples, corr: CorrelationModel = None):
+def estimate_hyperparameters(samples):
     """Split total residual variance into latent and noise parts.
 
     The empirical correlation over the three shortest populated
     horizontal-lag bins is extrapolated linearly to zero lag; the
     shortfall from 1 is read as the noise (nugget) fraction, clamped to
     at most 90% of the total variance so the latent part stays positive.
-    The split depends on the samples alone: ``corr`` is not read, stays
-    only so that calls passing a model keep working, and emits a
-    ``FutureWarning`` when given.
 
     Returns:
         ``(sigma_y, sigma_gp)`` in dB.
     """
-    if corr is not None:
-        warnings.warn("estimate_hyperparameters(samples, corr): corr has no "
-                      "effect and will be removed", FutureWarning, stacklevel=2)
     s = SampleSet.from_samples(samples)
     if len(s) < 3:
         raise InsufficientData("need at least three samples to split variance")

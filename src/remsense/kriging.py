@@ -8,24 +8,23 @@ second-order bias correction.
 
 Neighbor selection is a closed ball over horizontal distance; vertical
 separation still enters every correlation evaluation.  One engine,
-:func:`predict_batch`, kriges a whole set of targets; the single-target
-predictors are wrappers over it.
+:func:`predict_batch`, kriges a whole set of targets with any variant;
+:func:`predict` is that engine at one target.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 from scipy.special import ndtri
 
-from .errors import InsufficientData, NoNeighbors, SingularSystem, _check_real
+from .errors import InsufficientData, SingularSystem, _check_real
 from .geo import (
     GeoPoint,
     _blocks,
     _cross_lags,
     _lag_kernel,
-    _lags,
     _target_columns,
 )
 from .shadowing import CorrelationModel, SampleSet
@@ -74,24 +73,6 @@ def _ball(d_h: np.ndarray, seq: np.ndarray, radius_m: float) -> np.ndarray:
     """Indices with ``d_h <= radius_m``, by distance then ``seq``."""
     idx = np.nonzero(d_h <= radius_m)[0]
     return idx[np.lexsort((seq[idx], d_h[idx]))]
-
-
-def select_neighbors(samples, target: GeoPoint, radius_m: float) -> np.ndarray:
-    """Indices of samples within ``radius_m`` horizontal distance.
-
-    The ball is closed; results are ordered by distance with ties broken
-    by ``seq``.
-
-    Raises:
-        NoNeighbors: when the ball is empty.
-    """
-    s = SampleSet.from_samples(samples)
-    d, _ = _lags(s.lat, s.lon, s.alt, target.lat_deg, target.lon_deg,
-                 target.alt_m)
-    idx = _ball(d, s.seq, radius_m)
-    if idx.size == 0:
-        raise NoNeighbors(f"no sample within {radius_m} m of the target")
-    return idx
 
 
 def _solve_with_retry(mat: np.ndarray, rhs: np.ndarray, jitter: float,
@@ -242,48 +223,6 @@ def normal_score(sf) -> NormalScoreTransform:
     return NormalScoreTransform(z_nodes, u_nodes, mean_u=float(np.mean(u)))
 
 
-def _predict_in_ball(samples, model: CorrelationModel, target: GeoPoint,
-                     cfg: KrigingConfig,
-                     transform: NormalScoreTransform = None):
-    """:func:`predict` at a target that has a neighbor; raises
-    :class:`NoNeighbors` where :func:`predict` would fall back."""
-    out = predict(samples, model, target, cfg, transform=transform)
-    if out.fallback:
-        raise NoNeighbors(f"no sample within {cfg.radius_m} m of the target")
-    return out
-
-
-def ok_predict(samples, model: CorrelationModel, target: GeoPoint,
-               cfg: KrigingConfig) -> KrigingPrediction:
-    """Ordinary-kriging estimate of the residual at ``target``."""
-    return _predict_in_ball(samples, model, target, replace(cfg, variant="OK"))
-
-
-def sk_predict(samples, model: CorrelationModel, target: GeoPoint,
-               cfg: KrigingConfig) -> KrigingPrediction:
-    """Simple-kriging estimate around the known mean ``cfg.mean_z``."""
-    return _predict_in_ball(samples, model, target, replace(cfg, variant="SK"))
-
-
-def tg_predict(samples, model_u: CorrelationModel, target: GeoPoint,
-               cfg: KrigingConfig,
-               transform: NormalScoreTransform) -> KrigingPrediction:
-    """Trans-Gaussian kriging: krige normal scores, back-transform.
-
-    The score field has mean ``transform.mean_u`` and the variance of
-    ``model_u`` (near (0, 1) by construction); the bias correction uses
-    the inverse map's curvature at that global mean.  The returned
-    ``mse`` is the kriging variance in the normal-score domain.
-
-    Raises:
-        ValueError: a variant other than TG_OK or TG_SK, or no
-            ``transform``.
-    """
-    if cfg.variant not in ("TG_OK", "TG_SK"):
-        raise ValueError(f"tg_predict called with variant {cfg.variant!r}")
-    return _predict_in_ball(samples, model_u, target, cfg, transform)
-
-
 def _systems(s: SampleSet, model: CorrelationModel, ordinary: bool,
              lat: np.ndarray, lon: np.ndarray, alt: np.ndarray,
              radius_m: float):
@@ -331,12 +270,12 @@ def predict_batch(samples, model: CorrelationModel, lat, lon, alt,
     ``lat``, ``lon`` and ``alt`` are equal-length target columns (a
     scalar is one target).  Each target is kriged from the samples
     within ``cfg.radius_m`` of it, ordered by distance with ties broken
-    by ``seq`` as :func:`select_neighbors` orders them.  OK and TG_OK
-    solve the semivariogram system with a Lagrange multiplier, SK and
-    TG_SK the covariance system around a known mean.  The TG variants
-    krige the neighbours' normal scores around ``transform.mean_u``
-    with ``model_u`` (or ``model`` without one) and back-transform the
-    estimates; OK and SK krige the residuals around ``cfg.mean_z``.
+    by ``seq`` (:func:`_ball`).  OK and TG_OK solve the semivariogram
+    system with a Lagrange multiplier, SK and TG_SK the covariance
+    system around a known mean.  The TG variants krige the neighbours'
+    normal scores around ``transform.mean_u`` with ``model_u`` (or
+    ``model`` without one) and back-transform the estimates; OK and SK
+    krige the residuals around ``cfg.mean_z``.
     Targets with an empty neighborhood fall back to the deterministic
     model alone (residual 0, the kriged model's prior variance) and are
     flagged.

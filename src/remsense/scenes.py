@@ -317,9 +317,18 @@ def _geopoint_to_dict(p: GeoPoint) -> dict:
     return {"lat_deg": p.lat_deg, "lon_deg": p.lon_deg, "alt_m": p.alt_m}
 
 
+def _real(d: dict, key: str, default=None) -> float:
+    """``d[key]``, or ``default`` when given and the key is absent, as a
+    float once :func:`_check_real` accepts it: a string or a bool is
+    rejected, not converted."""
+    value = d[key] if default is None else d.get(key, default)
+    _check_real(key, value)
+    return float(value)
+
+
 def _geopoint_from_dict(d: dict) -> GeoPoint:
-    return GeoPoint(float(d["lat_deg"]), float(d["lon_deg"]),
-                    float(d.get("alt_m", 0.0)))
+    return GeoPoint(_real(d, "lat_deg"), _real(d, "lon_deg"),
+                    _real(d, "alt_m", 0.0))
 
 
 def _corr_to_dict(c: CorrelationModel) -> dict:
@@ -327,10 +336,8 @@ def _corr_to_dict(c: CorrelationModel) -> dict:
 
 
 def _corr_from_dict(d: dict) -> CorrelationModel:
-    return CorrelationModel(
-        a=float(d["a"]), p1=float(d["p1"]), p2=float(d["p2"]),
-        q=float(d["q"]), sigma_z=float(d["sigma_z"]),
-    )
+    return CorrelationModel(**{k: _real(d, k)
+                               for k in ("a", "p1", "p2", "q", "sigma_z")})
 
 
 def _prop_to_dict(cfg: PropagationConfig) -> dict:
@@ -347,13 +354,13 @@ def _prop_to_dict(cfg: PropagationConfig) -> dict:
 
 def _prop_from_dict(d: dict) -> PropagationConfig:
     return PropagationConfig(
-        carrier_hz=float(d["carrier_hz"]),
-        tx_power_dbm=float(d["tx_power_dbm"]),
+        carrier_hz=_real(d, "carrier_hz"),
+        tx_power_dbm=_real(d, "tx_power_dbm"),
         gs_pattern=pattern_from_dict(d.get("gs_pattern", {"preset": "isotropic"})),
         uav_pattern=pattern_from_dict(d.get("uav_pattern", {"preset": "isotropic"})),
-        ground_rel_permittivity=float(d.get("ground_rel_permittivity", 15.0)),
+        ground_rel_permittivity=_real(d, "ground_rel_permittivity", 15.0),
         polarization=d.get("polarization", "vertical"),
-        pl_ceiling_db=float(d.get("pl_ceiling_db", 300.0)),
+        pl_ceiling_db=_real(d, "pl_ceiling_db", 300.0),
     )
 
 

@@ -175,25 +175,6 @@ def _correlation(a, p1, p2, q, d_h, d_v):
                                + (1.0 - a) * np.exp(-p2 * d_h))
 
 
-def _pair_lags(a: GeoPoint, b: GeoPoint):
-    return _lags(a.lat_deg, a.lon_deg, a.alt_m, b.lat_deg, b.lon_deg, b.alt_m)
-
-
-def correlation(model: CorrelationModel, a: GeoPoint, b: GeoPoint) -> float:
-    """Model correlation between two locations."""
-    return float(model.correlation_at(*_pair_lags(a, b)))
-
-
-def covariance(model: CorrelationModel, a: GeoPoint, b: GeoPoint) -> float:
-    """Model covariance between two locations, dB^2."""
-    return float(model.covariance_at(*_pair_lags(a, b)))
-
-
-def semivariogram(model: CorrelationModel, a: GeoPoint, b: GeoPoint) -> float:
-    """Model semivariogram between two locations, dB^2."""
-    return float(model.semivariogram_at(*_pair_lags(a, b)))
-
-
 def _predicted_power(cfg: PropagationConfig, gs: GeoPoint, lat, lon, alt,
                      delta_gain=None, seq=None):
     """Link geometry and deterministic received power at each row.
@@ -234,14 +215,6 @@ def extract_sf(measurements, cfg: PropagationConfig, gs: GeoPoint,
     c = Campaign.of(measurements)
     _, rhat = _predicted_power(cfg, gs, c.lat, c.lon, c.alt, delta_gain, c.seq)
     return SampleSet(c.lat, c.lon, c.alt, c.rsrp - rhat, c.seq)
-
-
-def estimate_sigma(sf) -> float:
-    """Sample standard deviation of the residuals (mean removed, ddof=1)."""
-    s = SampleSet.from_samples(sf)
-    if len(s) < 2:
-        raise InsufficientData("need at least two samples to estimate sigma")
-    return float(np.std(s.z, ddof=1))
 
 
 @dataclass(frozen=True)

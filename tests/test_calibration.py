@@ -145,10 +145,16 @@ def test_bin_width_validation():
 def test_min_support_below_one_rejected():
     lat, lon, alt = direction_sweep(100, seed=64)
     ratios = estimate_a_uav(synth_measurements(lat, lon, alt), FRIIS, GS)
-    for bad in (0, -1):
-        with pytest.raises(rs.RangeError, match="min_support"):
+    for bad in (0, -1, True, 2.5):
+        with pytest.raises(rs.RangeError, match=f"min_support.*got {bad!r}"):
             estimate_effective_pattern(ratios, FRIIS.gs_pattern, bin_deg=10.0,
                                        min_support=bad)
+    # a whole-number float is the same threshold
+    whole = estimate_effective_pattern(ratios, FRIIS.gs_pattern, bin_deg=10.0,
+                                       min_support=2.0)
+    two = estimate_effective_pattern(ratios, FRIIS.gs_pattern, bin_deg=10.0,
+                                     min_support=2)
+    np.testing.assert_array_equal(whole.gain_dbi, two.gain_dbi)
 
 
 def test_delta_gain_min_support_below_one_rejected():
@@ -156,8 +162,8 @@ def test_delta_gain_min_support_below_one_rejected():
     ratios = estimate_a_uav(synth_measurements(lat, lon, alt), FRIIS, GS)
     eff = estimate_effective_pattern(ratios, FRIIS.gs_pattern, bin_deg=10.0,
                                      min_support=1)
-    for bad in (0, -1):
-        with pytest.raises(rs.RangeError, match="min_support"):
+    for bad in (0, -1, True, 2.5):
+        with pytest.raises(rs.RangeError, match=f"min_support.*got {bad!r}"):
             delta_gain(eff, DIPOLE, min_support=bad)
     # a pattern built at a threshold below one is rejected the same way
     with pytest.raises(rs.RangeError, match="min_support"):

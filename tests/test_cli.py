@@ -127,6 +127,15 @@ def test_synth_requires_trajectory(work, tmp_path, capsys):
         assert main(["synth", "--scene", str(bad),
                      "--out", str(tmp_path / "x.csv")]) == 3
         assert "noise_sd must be" in capsys.readouterr().err
+    # a number given as a string or a bool is bad data, not converted
+    for part, key, value in (("propagation", "tx_power_dbm", "23"),
+                             ("gs", "alt_m", True)):
+        bad = tmp_path / "bad_scene.json"
+        bad.write_text(json.dumps({**doc, part: {**doc[part], key: value}}))
+        assert main(["synth", "--scene", str(bad),
+                     "--out", str(tmp_path / "x.csv")]) == 3
+        assert f"{key} must be finite, got {value!r}" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
 
 def test_fit_corr_writes_model(work, tmp_path):
@@ -167,15 +176,27 @@ def test_calibrate_recovers_null_correction(work, tmp_path):
     assert np.count_nonzero(delta.supported) == 8
     # noise-free campaign with undistorted antennas: correction is null
     assert np.max(np.abs(delta.delta_db[delta.supported])) <= 1e-6
+    # a whole-number float threshold in the config is the same threshold
+    config = tmp_path / "float_support.json"
+    config.write_text(json.dumps({
+        **json.loads((work / "friis_config.json").read_text()),
+        "calibration_min_support": 10.0}))
+    again = tmp_path / "again.csv"
+    assert main(["calibrate", "--measurements", str(work / "around.csv"),
+                 "--config", str(config), "--out", str(again),
+                 "--bin-deg", "45"]) == 0
+    assert again.read_bytes() == out.read_bytes()
 
 
 def test_calibrate_bad_binning_exits_before_reading(work, tmp_path, capsys):
     out = tmp_path / "delta.csv"
     doc = json.loads((work / "config.json").read_text())
     bad_keys = []
-    for key, value in (("calibration_bin_deg", 7), ("calibration_min_support",
-                                                    0)):
-        path = tmp_path / f"bad_{key}.json"
+    for key, value in (("calibration_bin_deg", 7),
+                       ("calibration_min_support", 0),
+                       ("calibration_min_support", True),
+                       ("calibration_min_support", 2.5)):
+        path = tmp_path / f"bad_{len(bad_keys)}.json"
         path.write_text(json.dumps({**doc, key: value}))
         bad_keys.append(str(path))
     config = str(work / "config.json")
@@ -185,7 +206,9 @@ def test_calibrate_bad_binning_exits_before_reading(work, tmp_path, capsys):
             (["--min-support", "0"], "min_support must be >= 1"),
             (["--min-support", "-3"], "min_support must be >= 1"),
             (["--config", bad_keys[0]], "bin width must divide 360"),
-            (["--config", bad_keys[1]], "min_support must be >= 1")]:
+            (["--config", bad_keys[1]], "min_support must be >= 1"),
+            (["--config", bad_keys[2]], "got True"),
+            (["--config", bad_keys[3]], "got 2.5")]:
         assert main(["calibrate", "--measurements",
                      str(tmp_path / "none.csv"), "--config", config,
                      "--out", str(out)] + extra) == 2
@@ -430,6 +453,8 @@ BAD_CONFIGS = [
      COMMANDS),
     ("bad polarization", _with(prop={"polarization": "diagonal"}), "prop",
      COMMANDS),
+    ("string tx power", _with(prop={"tx_power_dbm": "23"}), "prop", COMMANDS),
+    ("boolean altitude", _with(gs={"alt_m": True}), "gs", COMMANDS),
     ("unknown preset", _with(prop={"gs_pattern": {"preset": "yagi"}}),
      "prop", COMMANDS),
     ("string radius", _with(radius_m="200"), "radius_m",

@@ -14,7 +14,6 @@ from remsense.completion import (
     decompose_deep_shadow,
     dilate_deep_shadow,
     gpr_to_grid,
-    mc_assisted_predict,
     nuclear_norm_min,
     nuclear_norm_project,
 )
@@ -390,16 +389,3 @@ def test_mc_config_accepts_edge_values():
                    max_bisection_iters=1, grid_spacing_m=1e-3)
     assert cfg.max_bisection_iters == 1
     assert McConfig(dilation_radius=np.int64(2)).dilation_radius == 2
-
-
-def test_one_shot_wrapper_matches_pipeline():
-    m = pipeline_model(seed=55)
-    cfg = McConfig(grid_spacing_m=10.0)
-    pipe = McAssistedGpr(m, cfg)
-    tgt = offset_point(GS, 80.0, 70.0, 60.0)
-    want = pipe.predict(tgt.lat_deg, tgt.lon_deg)
-    assert mc_assisted_predict(None, m, cfg, tgt) == pytest.approx(want, abs=1e-12)
-    assert mc_assisted_predict(m.train, m, cfg, tgt) == pytest.approx(
-        want, abs=1e-12
-    )
-

@@ -1,11 +1,13 @@
-"""The README's python block and the demos run to completion, and the
-README's per-command config keys match the CLI's key table.
+"""The README's python block and the demos run to completion, the
+README's per-command config keys match the CLI's key table, and the
+package exports what its version says.
 
 Each runs in a fresh interpreter against the checkout's ``src``, as a
 reader would run it.  The demos take up to about half a minute each.
 """
 
 import argparse
+import importlib
 import os
 import re
 import subprocess
@@ -14,11 +16,22 @@ from pathlib import Path
 
 import pytest
 
+import remsense
 from remsense import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = ("01_two_ray_link.py", "02_shadow_recovery.py", "03_deep_shadow.py",
          "04_calibration_eval.py")
+# name -> the module it was defined in, for each name removed in 0.2.0
+RETIRED = {
+    "ok_predict": "kriging", "sk_predict": "kriging", "tg_predict": "kriging",
+    "select_neighbors": "kriging", "_predict_in_ball": "kriging",
+    "NoNeighbors": "errors", "gpr_predict": "gpr",
+    "mc_assisted_predict": "completion", "vertical_distance": "geo",
+    "correlation": "shadowing", "covariance": "shadowing",
+    "semivariogram": "shadowing", "_pair_lags": "shadowing",
+    "estimate_sigma": "shadowing",
+}
 
 
 def _run(args):
@@ -66,3 +79,20 @@ def test_readme_key_table_matches_the_cli():
             assert pairs == expected, command
             seen.add(command)
     assert seen == set(cli._COMMAND_KEYS)
+
+
+def test_exports_and_version():
+    """Each ``__all__`` name is listed once and resolves, no retired name
+    is left in the package or in its old module, and ``__version__`` is
+    pyproject.toml's version."""
+    names = remsense.__all__
+    assert len(names) == len(set(names))
+    for name in names:
+        getattr(remsense, name)
+    for name, module in RETIRED.items():
+        assert not hasattr(remsense, name), name
+        assert not hasattr(importlib.import_module(f"remsense.{module}"),
+                           name), f"remsense.{module}.{name}"
+    declared = re.search(r'^version = "([^"]+)"$',
+                         (ROOT / "pyproject.toml").read_text(), re.M)
+    assert remsense.__version__ == declared.group(1)

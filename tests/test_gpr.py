@@ -10,11 +10,10 @@ from remsense.geo import _arc_distance
 from remsense.gpr import (
     estimate_hyperparameters,
     gpr_fit,
-    gpr_predict,
     gpr_predict_batch,
     gpr_predict_mean,
 )
-from remsense.kriging import KrigingConfig, sk_predict
+from remsense.kriging import KrigingConfig, predict
 
 from conftest import CORR, GS, offset_point
 
@@ -73,8 +72,8 @@ def test_matches_simple_kriging_with_zero_mean():
     cfg = KrigingConfig(radius_m=1e6, variant="SK", mean_z=0.0)
     for k in range(12):
         tgt = offset_point(GS, 50.0 + 23.0 * k, 70.0 + 19.0 * k, 60.0)
-        zh, var = gpr_predict(m, tgt)
-        sk = sk_predict(sf, CORR, tgt, cfg)
+        (zh,), (var,) = gpr_predict_batch(m, *coords([tgt]))
+        sk = predict(sf, CORR, tgt, cfg)
         assert zh == pytest.approx(sk.z_hat, abs=1e-9)
         assert var == pytest.approx(sk.mse, abs=1e-9)
 
@@ -85,7 +84,7 @@ def test_decorrelated_returns_prior():
     m = gpr_fit(samples_of(pts, z), NUGGET, sigma_y=2.0, sigma_gp=1.0)
     assert m.prior_variance == pytest.approx(5.0)
     tgt = offset_point(GS, 70.0, 350.0, 60.0)
-    zh, var = gpr_predict(m, tgt)
+    (zh,), (var,) = gpr_predict_batch(m, *coords([tgt]))
     assert zh == pytest.approx(0.0, abs=1e-9)
     assert var == pytest.approx(5.0, abs=1e-9)
 
@@ -107,7 +106,7 @@ def test_dense_five_sample_oracle():
     sol = np.linalg.solve(k_train, z)
     want_mean = float(k0 @ sol)
     want_var = float(sy**2 + sg**2 - k0 @ np.linalg.solve(k_train, k0))
-    zh, var = gpr_predict(m, tgt)
+    (zh,), (var,) = gpr_predict_batch(m, *coords([tgt]))
     assert zh == pytest.approx(want_mean, abs=1e-9)
     assert var == pytest.approx(want_var, abs=1e-9)
 
@@ -121,10 +120,11 @@ def test_posterior_mean_linear_in_observations():
     preds = []
     for z in (z1, z2, z1 + z2):
         m = gpr_fit(samples_of(pts, z), CORR, sigma_y=2.0, sigma_gp=0.8)
-        preds.append(gpr_predict(m, tgt))
-    assert preds[2][0] == pytest.approx(preds[0][0] + preds[1][0], abs=1e-9)
+        preds.append(gpr_predict_batch(m, *coords([tgt])))
+    assert preds[2][0][0] == pytest.approx(preds[0][0][0] + preds[1][0][0],
+                                           abs=1e-9)
     # the variance ignores the observed values entirely
-    assert preds[2][1] == pytest.approx(preds[0][1], abs=1e-12)
+    assert preds[2][1][0] == pytest.approx(preds[0][1][0], abs=1e-12)
 
 
 def test_variance_bounds():
@@ -151,7 +151,7 @@ def test_single_point_variance_hits_upper_range():
     # noise power and twice the noise power
     p = offset_point(GS, 60.0, 60.0, 60.0)
     m = gpr_fit([rs.SfSample(p, 1.0, 0)], CORR, sigma_y=2.0, sigma_gp=1.0)
-    _, var = gpr_predict(m, p)
+    _, (var,) = gpr_predict_batch(m, *coords([p]))
     assert var == pytest.approx(5.0 - 16.0 / 5.0, abs=1e-9)
     assert var > 1.0
 
@@ -316,7 +316,7 @@ def test_duplicate_locations_rejected_without_noise():
     assert {exc.value.first, exc.value.second} == {5, 8}
     # a positive noise floor makes the same data well posed
     m = gpr_fit(sf, CORR, sigma_y=2.0, sigma_gp=0.5)
-    zh, _ = gpr_predict(m, p)
+    (zh,), _ = gpr_predict_batch(m, *coords([p]))
     assert np.isfinite(zh)
 
 
@@ -378,10 +378,6 @@ def test_white_noise_hits_nugget_cap():
     z = 2.0 * np.random.default_rng(99).standard_normal(500)
     sy, sg = estimate_hyperparameters(samples_of(pts, z))
     assert sg**2 == pytest.approx(0.9 * (sy**2 + sg**2), rel=1e-9)
-    # the model is not read: the split is the samples' alone, and passing
-    # one only warns
-    with pytest.warns(FutureWarning, match="corr has no effect"):
-        assert estimate_hyperparameters(samples_of(pts, z), CORR) == (sy, sg)
 
 
 def test_variance_split_recovery_smooth_plus_noise():

@@ -4,16 +4,14 @@ import numpy as np
 import pytest
 
 import remsense as rs
-from remsense.geo import _arc_distance, _point_columns, horizontal_distance
+from remsense.geo import (_arc_distance, _lags, _point_columns,
+                          horizontal_distance)
 from remsense.kriging import (
     KrigingConfig,
     NormalScoreTransform,
+    _ball,
     normal_score,
-    ok_predict,
     predict,
-    select_neighbors,
-    sk_predict,
-    tg_predict,
 )
 from remsense.shadowing import transformed_model
 
@@ -62,11 +60,11 @@ def test_ok_weights_sum_to_one_random_configs():
                                 q=float(rng.uniform(0, 0.3)),
                                 sigma_z=float(rng.uniform(0.5, 5)))
         tgt = offset_point(GS, 120.0, 130.0, 60.0)
-        pred = ok_predict(sf, m, tgt, KrigingConfig(radius_m=400.0))
+        pred = predict(sf, m, tgt, KrigingConfig(radius_m=400.0))
         # recover the weights through a probe: prediction of indicator data
         w = np.array([
-            ok_predict(samples_of(pts, np.eye(n)[k]), m, tgt,
-                       KrigingConfig(radius_m=400.0)).z_hat
+            predict(samples_of(pts, np.eye(n)[k]), m, tgt,
+                    KrigingConfig(radius_m=400.0)).z_hat
             for k in range(n)
         ])
         assert abs(w.sum() - 1.0) <= 1e-9
@@ -79,7 +77,7 @@ def test_ok_single_neighbor_returns_sample():
     pts = scatter(1, 10.0, seed=1)
     sf = samples_of(pts, [2.7])
     tgt = offset_point(GS, 90.0, 40.0, 60.0)
-    pred = ok_predict(sf, CORR, tgt, KrigingConfig(radius_m=500.0))
+    pred = predict(sf, CORR, tgt, KrigingConfig(radius_m=500.0))
     assert pred.z_hat == pytest.approx(2.7, abs=1e-12)
     assert pred.neighbors_used == 1
     assert pred.lagrange_mu is not None
@@ -90,7 +88,7 @@ def test_ok_symmetric_pair_half_weights():
     b = offset_point(GS, -100.0, 0.0, 60.0)
     tgt = rs.GeoPoint(GS.lat_deg, GS.lon_deg, 60.0)
     sf = samples_of([a, b], [4.0, 1.0])
-    pred = ok_predict(sf, CORR, tgt, KrigingConfig(radius_m=300.0))
+    pred = predict(sf, CORR, tgt, KrigingConfig(radius_m=300.0))
     assert pred.z_hat == pytest.approx(2.5, abs=1e-9)
 
 
@@ -100,7 +98,7 @@ def test_ok_dense_five_sample_oracle():
     sf = samples_of(pts, z)
     tgt = offset_point(GS, 110.0, 95.0, 65.0)
     cfg = KrigingConfig(radius_m=500.0)
-    pred = ok_predict(sf, CORR, tgt, cfg)
+    pred = predict(sf, CORR, tgt, cfg)
 
     # independent assembly straight from the correlation formula
     lat = np.array([p.lat_deg for p in pts])
@@ -133,8 +131,8 @@ def test_sk_dense_five_sample_oracle():
     sf = samples_of(pts, z)
     tgt = offset_point(GS, 100.0, 90.0, 65.0)
     mean_z = 0.6
-    pred = sk_predict(sf, CORR, tgt, KrigingConfig(radius_m=500.0, variant="SK",
-                                                   mean_z=mean_z))
+    pred = predict(sf, CORR, tgt, KrigingConfig(radius_m=500.0, variant="SK",
+                                                mean_z=mean_z))
     lat = np.array([p.lat_deg for p in pts])
     lon = np.array([p.lon_deg for p in pts])
     alt = np.array([p.alt_m for p in pts])
@@ -155,9 +153,9 @@ def test_exact_interpolation_without_jitter():
     z = np.arange(10) * 0.7 - 3.0
     sf = samples_of(pts, z)
     for k, p in enumerate(pts):
-        ok = ok_predict(sf, CORR, p, KrigingConfig(radius_m=400.0, jitter=0.0))
-        sk = sk_predict(sf, CORR, p, KrigingConfig(radius_m=400.0, jitter=0.0,
-                                                   variant="SK"))
+        ok = predict(sf, CORR, p, KrigingConfig(radius_m=400.0, jitter=0.0))
+        sk = predict(sf, CORR, p, KrigingConfig(radius_m=400.0, jitter=0.0,
+                                                variant="SK"))
         assert ok.z_hat == pytest.approx(z[k], abs=1e-9)
         assert sk.z_hat == pytest.approx(z[k], abs=1e-9)
         assert abs(sk.mse) <= 1e-9
@@ -169,8 +167,8 @@ def test_sk_decorrelated_falls_back_to_prior():
     pts = [offset_point(GS, 40.0 + 50.0 * k, 60.0, 60.0) for k in range(4)]
     sf = samples_of(pts, [5.0, -1.0, 2.0, 0.5])
     tgt = offset_point(GS, 65.0, 85.0, 60.0)
-    pred = sk_predict(sf, nugget, tgt, KrigingConfig(radius_m=300.0, variant="SK",
-                                                     mean_z=1.7))
+    pred = predict(sf, nugget, tgt, KrigingConfig(radius_m=300.0, variant="SK",
+                                                  mean_z=1.7))
     assert pred.z_hat == pytest.approx(1.7, abs=1e-9)
     assert pred.mse == pytest.approx(nugget.sigma_z**2, abs=1e-9)
 
@@ -180,8 +178,8 @@ def test_ok_constant_shift_invariance():
     z = np.random.default_rng(0).normal(0, 2, 8)
     tgt = offset_point(GS, 120.0, 60.0, 60.0)
     cfg = KrigingConfig(radius_m=400.0)
-    base = ok_predict(samples_of(pts, z), CORR, tgt, cfg)
-    shifted = ok_predict(samples_of(pts, z + 7.5), CORR, tgt, cfg)
+    base = predict(samples_of(pts, z), CORR, tgt, cfg)
+    shifted = predict(samples_of(pts, z + 7.5), CORR, tgt, cfg)
     assert shifted.z_hat - base.z_hat == pytest.approx(7.5, abs=1e-9)
     assert shifted.mse == pytest.approx(base.mse, abs=1e-12)
 
@@ -190,14 +188,14 @@ def test_sk_shift_tracks_mean():
     pts = scatter(8, 200.0, seed=11)
     z = np.random.default_rng(1).normal(0, 2, 8)
     tgt = offset_point(GS, 120.0, 60.0, 60.0)
-    base = sk_predict(samples_of(pts, z), CORR, tgt,
-                      KrigingConfig(radius_m=400.0, variant="SK", mean_z=0.0))
-    both = sk_predict(samples_of(pts, z + 7.5), CORR, tgt,
-                      KrigingConfig(radius_m=400.0, variant="SK", mean_z=7.5))
+    base = predict(samples_of(pts, z), CORR, tgt,
+                   KrigingConfig(radius_m=400.0, variant="SK", mean_z=0.0))
+    both = predict(samples_of(pts, z + 7.5), CORR, tgt,
+                   KrigingConfig(radius_m=400.0, variant="SK", mean_z=7.5))
     assert both.z_hat - base.z_hat == pytest.approx(7.5, abs=1e-9)
     # shifting the data without the mean does not track
-    data_only = sk_predict(samples_of(pts, z + 7.5), CORR, tgt,
-                           KrigingConfig(radius_m=400.0, variant="SK", mean_z=0.0))
+    data_only = predict(samples_of(pts, z + 7.5), CORR, tgt,
+                        KrigingConfig(radius_m=400.0, variant="SK", mean_z=0.0))
     assert abs(data_only.z_hat - base.z_hat - 7.5) > 0.01
 
 
@@ -211,14 +209,21 @@ def test_prediction_invariant_under_sample_order():
     tgt = offset_point(GS, 130.0, 70.0, 60.0)
     for cfg in (KrigingConfig(radius_m=400.0),
                 KrigingConfig(radius_m=400.0, variant="SK")):
-        f = ok_predict if cfg.variant == "OK" else sk_predict
-        a = f(sf, CORR, tgt, cfg)
-        b = f(shuffled, CORR, tgt, cfg)
+        a = predict(sf, CORR, tgt, cfg)
+        b = predict(shuffled, CORR, tgt, cfg)
         assert a.z_hat == pytest.approx(b.z_hat, abs=1e-9)
         assert a.mse == pytest.approx(b.mse, abs=1e-9)
 
 
 # ------------------------------------------------------------ neighborhoods
+
+def ball(samples, target, radius_m):
+    """Indices of the neighbours :func:`predict` krige ``target`` from."""
+    s = rs.SampleSet.from_samples(samples)
+    d_h, _ = _lags(s.lat, s.lon, s.alt, target.lat_deg, target.lon_deg,
+                   target.alt_m)
+    return _ball(d_h, s.seq, radius_m)
+
 
 def test_select_neighbors_closed_ball_boundary():
     near = offset_point(GS, 50.0, 0.0, 60.0)
@@ -226,10 +231,10 @@ def test_select_neighbors_closed_ball_boundary():
     tgt = rs.GeoPoint(GS.lat_deg, GS.lon_deg, 60.0)
     sf = samples_of([near, far], [1.0, 2.0])
     d_far = horizontal_distance(tgt, far)
-    idx = select_neighbors(sf, tgt, radius_m=d_far)
-    assert idx.tolist() == [0, 1]
-    idx = select_neighbors(sf, tgt, radius_m=d_far * (1 - 1e-12))
-    assert idx.tolist() == [0]
+    for radius, want in ((d_far, [0, 1]), (d_far * (1 - 1e-12), [0])):
+        assert ball(sf, tgt, radius).tolist() == want
+        assert predict(sf, CORR, tgt, KrigingConfig(radius_m=radius)
+                       ).neighbors_used == len(want)
 
 
 def test_select_neighbors_orders_by_distance_then_seq():
@@ -239,15 +244,14 @@ def test_select_neighbors_orders_by_distance_then_seq():
     tgt = rs.GeoPoint(GS.lat_deg, GS.lon_deg, 60.0)
     sf = [rs.SfSample(dup2, 1.0, seq=9), rs.SfSample(a, 2.0, seq=4),
           rs.SfSample(dup1, 3.0, seq=2)]
-    idx = select_neighbors(sf, tgt, radius_m=200.0)
-    assert idx.tolist() == [1, 2, 0]
+    assert ball(sf, tgt, radius_m=200.0).tolist() == [1, 2, 0]
 
 
 def test_select_neighbors_matches_brute_force():
     pts = scatter(100, 400.0, seed=13)
     sf = samples_of(pts, np.zeros(100))
     tgt = offset_point(GS, 200.0, 200.0, 60.0)
-    idx = select_neighbors(sf, tgt, radius_m=150.0)
+    idx = ball(sf, tgt, radius_m=150.0)
     want = {k for k, p in enumerate(pts)
             if horizontal_distance(tgt, p) <= 150.0}
     assert set(idx.tolist()) == want
@@ -255,12 +259,11 @@ def test_select_neighbors_matches_brute_force():
     assert d == sorted(d)
 
 
-def test_no_neighbors_raises_and_predict_falls_back():
+def test_no_neighbors_predict_falls_back():
     pts = [offset_point(GS, 500.0, 0.0, 60.0)]
     sf = samples_of(pts, [3.0])
     tgt = rs.GeoPoint(GS.lat_deg, GS.lon_deg, 60.0)
-    with pytest.raises(rs.NoNeighbors):
-        select_neighbors(sf, tgt, radius_m=100.0)
+    assert ball(sf, tgt, radius_m=100.0).size == 0
     pred = predict(sf, CORR, tgt, KrigingConfig(radius_m=100.0))
     assert pred.fallback
     assert pred.z_hat == 0.0
@@ -288,9 +291,9 @@ def test_duplicate_neighbors_need_jitter():
     sf = [rs.SfSample(p, 1.0, 0), rs.SfSample(p, 1.0, 1)]
     tgt = offset_point(GS, 80.0, 0.0, 60.0)
     with pytest.raises(rs.SingularSystem):
-        sk_predict(sf, CORR, tgt, KrigingConfig(radius_m=200.0, variant="SK",
-                                                jitter=0.0))
-    pred = sk_predict(sf, CORR, tgt, KrigingConfig(radius_m=200.0, variant="SK"))
+        predict(sf, CORR, tgt, KrigingConfig(radius_m=200.0, variant="SK",
+                                             jitter=0.0))
+    pred = predict(sf, CORR, tgt, KrigingConfig(radius_m=200.0, variant="SK"))
     assert np.isfinite(pred.z_hat)
 
 
@@ -302,9 +305,6 @@ def test_predict_rejects_unknown_variant_and_missing_transform():
         predict(sf, CORR, tgt, KrigingConfig(radius_m=300.0, variant="IDW"))
     with pytest.raises(ValueError):
         predict(sf, CORR, tgt, KrigingConfig(radius_m=300.0, variant="TG_OK"))
-    with pytest.raises(ValueError):
-        tg_predict(sf, CORR, tgt, KrigingConfig(radius_m=300.0,
-                                                variant="TG_OK"), None)
 
 
 # --------------------------------------------------------- normal scores
@@ -393,9 +393,9 @@ def test_tg_ok_equals_ok_for_affine_transform():
     sf = samples_of(pts, z)
     for k in range(15):
         tgt = offset_point(GS, 45.0 + 17.0 * k, 60.0 + 13.0 * k, 60.0)
-        a = ok_predict(sf, CORR, tgt, KrigingConfig(radius_m=300.0))
-        b = tg_predict(sf, UNIT, tgt, KrigingConfig(radius_m=300.0,
-                                                    variant="TG_OK"), tr)
+        a = predict(sf, CORR, tgt, KrigingConfig(radius_m=300.0))
+        b = predict(sf, UNIT, tgt, KrigingConfig(radius_m=300.0,
+                                                 variant="TG_OK"), transform=tr)
         assert b.z_hat == pytest.approx(a.z_hat, abs=1e-9)
 
 
@@ -410,9 +410,9 @@ def test_tg_close_to_plain_ok_on_gaussian_field():
     diffs = []
     for k in range(60):
         tgt = offset_point(GS, 36.0 + 37.0 * (k % 10), 49.0 + 33.0 * (k // 10), 60.0)
-        a = ok_predict(sf, UNIT, tgt, KrigingConfig(radius_m=100.0))
-        b = tg_predict(sf, UNIT, tgt,
-                       KrigingConfig(radius_m=100.0, variant="TG_OK"), tr)
+        a = predict(sf, UNIT, tgt, KrigingConfig(radius_m=100.0))
+        b = predict(sf, UNIT, tgt,
+                    KrigingConfig(radius_m=100.0, variant="TG_OK"), transform=tr)
         diffs.append(abs(a.z_hat - b.z_hat))
     assert np.mean(diffs) <= 0.05
 
@@ -425,7 +425,7 @@ def test_tg_exact_at_sample_locations():
     for variant in ("TG_OK", "TG_SK"):
         cfg = KrigingConfig(radius_m=300.0, variant=variant, jitter=0.0)
         for k in (0, 7, 19, 35):
-            pred = tg_predict(sf, UNIT, pts[k], cfg, tr)
+            pred = predict(sf, UNIT, pts[k], cfg, transform=tr)
             assert pred.z_hat == pytest.approx(z[k], abs=1e-9)
             assert pred.mse <= 1e-9
 
@@ -435,8 +435,9 @@ def test_tg_single_coincident_neighbor_exact():
     others = scatter(25, 200.0, seed=23)
     sf = samples_of([p] + others, np.r_[4.2, np.random.default_rng(4).gamma(2, 1, 25)])
     tr = normal_score(sf)
-    pred = tg_predict([sf[0]], UNIT, p,
-                      KrigingConfig(radius_m=50.0, variant="TG_OK", jitter=0.0), tr)
+    pred = predict([sf[0]], UNIT, p,
+                   KrigingConfig(radius_m=50.0, variant="TG_OK", jitter=0.0),
+                   transform=tr)
     assert pred.neighbors_used == 1
     assert pred.z_hat == pytest.approx(4.2, abs=1e-12)
     assert pred.mse == pytest.approx(0.0, abs=1e-12)
@@ -474,8 +475,9 @@ def test_tg_sk_beats_sk_on_lognormal_field():
                                mean_z=float(np.mean(zz[:ntr])))
         e_sk, e_tg = [], []
         for k, t in enumerate(tg_pts):
-            e_sk.append(sk_predict(sf, model_z, t, cfg_sk).z_hat - zz[ntr + k])
-            e_tg.append(tg_predict(sf, UNIT, t, cfg_tg, tr).z_hat - zz[ntr + k])
+            e_sk.append(predict(sf, model_z, t, cfg_sk).z_hat - zz[ntr + k])
+            e_tg.append(predict(sf, UNIT, t, cfg_tg, transform=tr).z_hat
+                        - zz[ntr + k])
         rmse_sk.append(float(np.sqrt(np.mean(np.square(e_sk)))))
         rmse_tg.append(float(np.sqrt(np.mean(np.square(e_tg)))))
     assert np.median(rmse_tg) <= np.median(rmse_sk)
@@ -489,8 +491,8 @@ def test_mse_bounds_random_configs():
         sf = samples_of(pts, rng.normal(0, 3, n))
         tgt = offset_point(GS, float(rng.uniform(40, 260)),
                            float(rng.uniform(50, 260)), 60.0)
-        ok = ok_predict(sf, CORR, tgt, KrigingConfig(radius_m=500.0))
-        sk = sk_predict(sf, CORR, tgt, KrigingConfig(radius_m=500.0, variant="SK"))
+        ok = predict(sf, CORR, tgt, KrigingConfig(radius_m=500.0))
+        sk = predict(sf, CORR, tgt, KrigingConfig(radius_m=500.0, variant="SK"))
         assert ok.mse >= 0.0
         assert 0.0 <= sk.mse <= CORR.sigma_z**2 + 1e-9
 
@@ -633,7 +635,7 @@ def test_predict_batch_jitter_retry_is_per_system():
     alone = rs.predict_batch(sf, CORR, lat[1:], lon[1:], alt[1:], exact)
     assert got.z_hat[1] == alone.z_hat[0]
     assert got.mse[1] == alone.mse[0]
-    assert got.z_hat[0] == sk_predict(sf, CORR, near, lifted).z_hat
+    assert got.z_hat[0] == predict(sf, CORR, near, lifted).z_hat
 
 
 def test_predict_batch_validates_like_predict():

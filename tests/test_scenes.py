@@ -23,7 +23,7 @@ from remsense.scenes import (
     write_measurements_csv,
     zigzag_trajectory,
 )
-from remsense.shadowing import estimate_sigma, extract_sf
+from remsense.shadowing import extract_sf
 
 from conftest import CORR, GS, PROP, offset_point
 
@@ -149,7 +149,7 @@ def test_sigma_recovered_from_campaign():
                                 sample_spacing_m=12.0)
     meas, _ = generate_campaign(SceneSpec(gs=GS, cfg=PROP, corr=fast, seed=203),
                                 traj)
-    sigma_hat = estimate_sigma(extract_sf(meas, PROP, GS))
+    sigma_hat = np.std(extract_sf(meas, PROP, GS).z, ddof=1)
     assert abs(sigma_hat - 3.0) / 3.0 <= 0.05
 
 

@@ -3,14 +3,13 @@ import pytest
 
 import remsense as rs
 from remsense import geo
-from remsense.geo import link_geometry, _arc_distance
+from remsense.geo import _arc_distance, _lags, link_geometry
 from remsense.gpr import gpr_fit
-from remsense.kriging import KrigingConfig, ok_predict
+from remsense.kriging import KrigingConfig, predict
 from remsense.shadowing import (
     CorrelationTable,
     SampleSet,
     empirical_correlation,
-    estimate_sigma,
     extract_sf,
     fit_correlation_model,
     transformed_model,
@@ -112,25 +111,18 @@ def test_extract_station_coincident_raises():
 def test_sigma_two_point():
     pts = grid_points(2, 1, 50.0, 0.0, 60.0)
     sf = sample_set(pts, [-1.0, 1.0])
-    assert estimate_sigma(sf) == pytest.approx(np.sqrt(2.0), rel=1e-12)
-
-
-def test_sigma_constant_is_zero():
-    pts = grid_points(3, 1, 50.0, 0.0, 60.0)
-    assert estimate_sigma(sample_set(pts, [4.2, 4.2, 4.2])) == 0.0
-
-
-def test_sigma_insufficient():
-    pts = grid_points(1, 1, 50.0, 0.0, 60.0)
-    with pytest.raises(rs.InsufficientData):
-        estimate_sigma(sample_set(pts, [1.0]))
+    sigma = empirical_correlation(sf).sigma
+    assert sigma == pytest.approx(np.sqrt(2.0), rel=1e-12)
 
 
 def test_sigma_monte_carlo_recovery():
     rng = np.random.default_rng(314)
     z = 3.0 * rng.standard_normal(10_000)
     pts = grid_points(100, 100, 7.0, 7.0, 60.0)
-    assert estimate_sigma(sample_set(pts, z)) == pytest.approx(3.0, abs=0.1)
+    # every sample enters the table's sigma, however few pairs it bins
+    table = empirical_correlation(sample_set(pts, z), max_pairs=1000)
+    assert table.sigma == np.std(z, ddof=1)
+    assert table.sigma == pytest.approx(3.0, abs=0.1)
 
 
 # ------------------------------------------------------- empirical table
@@ -336,11 +328,14 @@ def test_fit_diverges_on_impossible_values():
 def test_correlation_identities():
     a = offset_point(GS, 100.0, 50.0, 60.0)
     b = offset_point(GS, 180.0, -40.0, 80.0)
-    assert rs.correlation(CORR, a, a) == pytest.approx(1.0, abs=1e-12)
-    assert rs.semivariogram(CORR, a, a) == pytest.approx(0.0, abs=1e-12)
-    assert rs.correlation(CORR, a, b) == pytest.approx(rs.correlation(CORR, b, a),
-                                                       rel=1e-12)
-    total = rs.semivariogram(CORR, a, b) + rs.covariance(CORR, a, b)
+    aa, ab, ba = (_lags(p.lat_deg, p.lon_deg, p.alt_m,
+                        q.lat_deg, q.lon_deg, q.alt_m)
+                  for p, q in ((a, a), (a, b), (b, a)))
+    assert CORR.correlation_at(*aa) == pytest.approx(1.0, abs=1e-12)
+    assert CORR.semivariogram_at(*aa) == pytest.approx(0.0, abs=1e-12)
+    assert CORR.correlation_at(*ab) == pytest.approx(CORR.correlation_at(*ba),
+                                                     rel=1e-12)
+    total = CORR.semivariogram_at(*ab) + CORR.covariance_at(*ab)
     assert total == pytest.approx(CORR.sigma_z**2, rel=1e-12)
 
 
@@ -434,6 +429,6 @@ def test_predictors_reject_measurement_rows():
     target = offset_point(GS, 100.0, 100.0, 60.0)
     for rows in (meas, rs.Campaign.of(meas)):
         with pytest.raises(AttributeError):
-            ok_predict(rows, CORR, target, KrigingConfig(radius_m=500.0))
+            predict(rows, CORR, target, KrigingConfig(radius_m=500.0))
         with pytest.raises(AttributeError):
             gpr_fit(rows, CORR, 2.0, 1.0)
