@@ -30,6 +30,15 @@ def _check_real(name, v, positive=None):
         raise RangeError(f"{name} must be {bound[positive]}finite, got {v!r}")
 
 
+def _real(d: dict, key: str, default=None) -> float:
+    """``d[key]``, or ``default`` when given and the key is absent, as a
+    float once :func:`_check_real` accepts it: a string or a bool is
+    rejected, not converted."""
+    value = d[key] if default is None else d.get(key, default)
+    _check_real(key, value)
+    return float(value)
+
+
 def _check_int(name, v, low):
     """Raise RangeError unless the value ``v`` of ``name`` is an integer
     >= ``low``."""

@@ -9,8 +9,14 @@ gain calibration) only ever sees the training campaign; the test
 campaign contributes the M sampled inputs per iteration plus the
 held-out values at scoring time, nothing else.
 
-Iterations run serially, in index order, each on its own RNG stream
-derived from (seed, index).
+An evaluation is three stages: ``_load`` reads, orders and checks both
+campaigns, computes the gain correction and predicts each test row's
+power; ``_fit`` fits the residual model and the GPR table; ``_run``
+makes the draws, serially, each on an RNG stream derived from (seed,
+index), and writes the report.  :func:`sweep` reuses the stages its
+axis leaves unchanged: ``M`` and ``R`` load and fit once, ``method``
+loads once and shares the first raw-domain correlation fit, and
+``altitude_campaign`` runs all three per value.
 """
 
 import csv
@@ -353,38 +359,12 @@ def predict_residuals(method: str, fit: Optional[ResidualModel], samples,
     return out.z_hat
 
 
-def _fit_from_train(cfg: EvalConfig, train):
-    """Gain correction and residual model, from the training campaign only.
+@dataclass(frozen=True)
+class _Loaded:
+    """The load stage: train campaign, gain correction and test rows."""
 
-    Returns ``(delta, residual model)``; either is None when the method
-    does not need it.
-    """
-    delta = None
-    if cfg.calibrated:
-        delta = cfg.delta
-        if delta is None:
-            if train is None:
-                raise ValueError("calibrated evaluation needs a train campaign")
-            ratios = estimate_a_uav(train, cfg.prop, cfg.gs, campaign="train")
-            eff = estimate_effective_pattern(
-                ratios, cfg.prop.gs_pattern,
-                bin_deg=cfg.calibration_bin_deg,
-                min_support=cfg.calibration_min_support,
-            )
-            delta = delta_gain(eff, cfg.prop.uav_pattern)
-    if cfg.method == "TRPL_only":
-        return delta, None
-
-    samples = None
-    if train is not None:
-        samples = extract_sf(train, cfg.prop, cfg.gs, delta_gain=delta)
-    return delta, fit_residual_model(samples, cfg.method, corr=cfg.corr_model,
-                                     mean_z=cfg.mean_z,
-                                     sigma_split=cfg.sigma_split)
-
-
-@dataclass
-class _TestData:
+    train: Optional[Campaign]
+    delta: object
     lat: np.ndarray
     lon: np.ndarray
     alt: np.ndarray
@@ -393,12 +373,26 @@ class _TestData:
     elev_bin: np.ndarray
     values: CampaignValues
     n: int
-    # GPR and MC_GPR: latent covariance among all rows, C-ordered so that
-    # a draw's row gather is contiguous, or None above _COV_TABLE_ELEMENTS
-    cov: Optional[np.ndarray] = None
 
 
-def _prepare_test(cfg: EvalConfig, test, delta, values_override=None):
+def _load(cfg: EvalConfig, test_values: CampaignValues = None) -> _Loaded:
+    train = _load_campaign(cfg.train_campaign)
+    test = _load_campaign(cfg.test_campaign)
+    if test is None or len(test) == 0:
+        raise ValueError("test campaign is empty")
+    _check_disjoint(train, test)
+    delta = cfg.delta if cfg.calibrated else None
+    if cfg.calibrated and delta is None:
+        if train is None:
+            raise ValueError("calibrated evaluation needs a train campaign")
+        ratios = estimate_a_uav(train, cfg.prop, cfg.gs, campaign="train")
+        eff = estimate_effective_pattern(
+            ratios, cfg.prop.gs_pattern,
+            bin_deg=cfg.calibration_bin_deg,
+            min_support=cfg.calibration_min_support,
+        )
+        delta = delta_gain(eff, cfg.prop.uav_pattern)
+
     geom, rhat = _predicted_power(cfg.prop, cfg.gs, test.lat, test.lon,
                                   test.alt, delta, test.seq)
     elev = np.asarray(geom.theta_t)
@@ -406,10 +400,37 @@ def _prepare_test(cfg: EvalConfig, test, delta, values_override=None):
         np.floor(elev / ELEVATION_BIN_DEG).astype(int), 0,
         ELEVATION_BIN_COUNT - 1,
     )
-    values = (CampaignValues(test.rsrp) if values_override is None
-              else values_override)
-    return _TestData(test.lat, test.lon, test.alt, test.seq, rhat, elev_bin,
-                     values, len(test))
+    values = CampaignValues(test.rsrp) if test_values is None else test_values
+    return _Loaded(train, delta, test.lat, test.lon, test.alt, test.seq, rhat,
+                   elev_bin, values, len(test))
+
+
+def _fit(cfg: EvalConfig, loaded: _Loaded):
+    """``(fit, cov)``: the residual model, from the train campaign only
+    (None for ``TRPL_only``), and for GPR and MC_GPR the latent
+    covariance among all n test rows, 8 n^2 bytes, C-ordered so that a
+    draw's row gather is contiguous.  Each draw indexes its kernel and
+    cross-covariance out of it.  Above n = 2896 (64 MB) ``cov`` is None
+    and a draw takes the path ``reconstruct`` takes: :func:`gpr_fit`
+    builds its M x M kernel and, for GPR, :func:`gpr_predict_mean` its
+    cross-covariance.  Either way the reports agree bit for bit."""
+    if cfg.method == "MC_GPR":
+        _check_one_altitude(loaded.alt)
+    if cfg.method == "TRPL_only":
+        return None, None
+
+    samples = None
+    if loaded.train is not None:
+        samples = extract_sf(loaded.train, cfg.prop, cfg.gs,
+                             delta_gain=loaded.delta)
+    fit = fit_residual_model(samples, cfg.method, corr=cfg.corr_model,
+                             mean_z=cfg.mean_z, sigma_split=cfg.sigma_split)
+    cov = None
+    if (cfg.method in ("GPR", "MC_GPR")
+            and loaded.n * loaded.n <= _COV_TABLE_ELEMENTS):
+        cov = _cov_rows(fit.corr, fit.sigma_y, loaded.lat, loaded.lon,
+                        loaded.alt).T
+    return fit, cov
 
 
 def _residuals_kriging(cfg, fit, data, s_idx, z_m, t_idx, counters):
@@ -456,8 +477,9 @@ def _residuals_kriging(cfg, fit, data, s_idx, z_m, t_idx, counters):
     return out
 
 
-def _run_iteration(cfg, fit, data, index, counters):
+def _run_iteration(cfg, fitted, data, index, counters):
     """One draw: returns the errors at the targets and their elevation bins."""
+    fit, cov = fitted
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, index)))
     sampled = rng.choice(data.n, size=cfg.m_samples, replace=False)
     mask = np.ones(data.n, dtype=bool)
@@ -470,8 +492,8 @@ def _run_iteration(cfg, fit, data, index, counters):
                                    counters)
     else:
         tables = None
-        if data.cov is not None:
-            rows = data.cov[sampled]
+        if cov is not None:
+            rows = cov[sampled]
             # MC_GPR reads only the fit
             tables = (np.asfortranarray(rows[:, sampled]),
                       rows.take(targets, axis=1) if cfg.method == "GPR"
@@ -491,14 +513,6 @@ def monte_carlo_eval(cfg: EvalConfig, test_values: CampaignValues = None
                      ) -> EvaluationReport:
     """Run the sparse-sampling protocol and report RMSE statistics.
 
-    The TRPL, GPR and MC_GPR draws are :func:`predict_residuals` calls.
-    GPR and MC_GPR build the latent covariance among all n test rows
-    once, 8 n^2 bytes, when n <= 2896 (64 MB), and each draw indexes its
-    kernel and cross-covariance out of it; above that a draw takes the
-    path ``reconstruct`` takes, a :func:`gpr_fit` that builds its M x M
-    kernel and, for GPR, :func:`gpr_predict_mean`.  Either way the
-    reports agree bit for bit.
-
     Args:
         cfg: protocol settings.
         test_values: optional replacement for the test campaign's value
@@ -512,37 +526,33 @@ def monte_carlo_eval(cfg: EvalConfig, test_values: CampaignValues = None
         RangeError: MC_GPR on a test campaign that spans more than one
             altitude.
     """
-    train = _load_campaign(cfg.train_campaign)
-    test = _load_campaign(cfg.test_campaign)
-    if test is None or len(test) == 0:
-        raise ValueError("test campaign is empty")
-    if cfg.m_samples >= len(test):
-        raise ValueError(
-            f"m_samples={cfg.m_samples} must be < test campaign size {len(test)}"
-        )
-    if cfg.method == "MC_GPR":
-        _check_one_altitude(test.alt)
-    _check_disjoint(train, test)
-    delta, fit = _fit_from_train(cfg, train)
-    data = _prepare_test(cfg, test, delta, values_override=test_values)
-    if (cfg.method in ("GPR", "MC_GPR")
-            and data.n * data.n <= _COV_TABLE_ELEMENTS):
-        data.cov = _cov_rows(fit.corr, fit.sigma_y, data.lat, data.lon,
-                             data.alt).T
+    loaded = _load(cfg, test_values)
+    return _run(cfg, loaded, _fit(cfg, loaded))
 
+
+def _check_m_samples(cfg: EvalConfig, loaded: _Loaded):
+    if cfg.m_samples >= loaded.n:
+        raise ValueError(
+            f"m_samples={cfg.m_samples} must be < test campaign size {loaded.n}"
+        )
+
+
+def _run(cfg: EvalConfig, loaded: _Loaded, fitted) -> EvaluationReport:
+    _check_m_samples(cfg, loaded)
     rmse = np.empty(cfg.iterations)
     bin_rmse = np.full((cfg.iterations, ELEVATION_BIN_COUNT), np.nan)
     counters = {"fallback_targets": 0, "variance_clamps": 0,
                 "mc_bisection_maxed": 0}
     for i in range(cfg.iterations):
-        err, bins = _run_iteration(cfg, fit, data, i, counters)
+        err, bins = _run_iteration(cfg, fitted, loaded, i, counters)
         sq = err**2
         rmse[i] = np.sqrt(np.mean(sq))
         for b in np.unique(bins):
             bin_rmse[i, b] = np.sqrt(np.mean(sq[bins == b]))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        bin_median = np.nanmedian(bin_rmse, axis=0)
+    # only bins that hold a value: an empty one would warn
+    filled = ~np.all(np.isnan(bin_rmse), axis=0)
+    bin_median = np.full(ELEVATION_BIN_COUNT, np.nan)
+    bin_median[filled] = np.nanmedian(bin_rmse[:, filled], axis=0)
     centers = [
         ELEVATION_BIN_DEG / 2 + ELEVATION_BIN_DEG * b
         for b in range(ELEVATION_BIN_COUNT)
@@ -557,8 +567,8 @@ def monte_carlo_eval(cfg: EvalConfig, test_values: CampaignValues = None
             float(v) if np.isfinite(v) else None for v in bin_median
         ],
         counters=counters,
-        n_train=0 if train is None else len(train),
-        n_test=len(test),
+        n_train=0 if loaded.train is None else len(loaded.train),
+        n_test=loaded.n,
         config=_config_echo(cfg),
     )
 
@@ -589,13 +599,18 @@ SWEEP_AXES = ("M", "R", "method", "altitude_campaign")
 def sweep(base: EvalConfig, axis: str, values, out_csv=None):
     """One evaluation per value along an axis; seeds offset by index.
 
+    Each report is :func:`monte_carlo_eval`'s for its value, from the
+    stages the axis shares (module docstring).  Every value, and on the
+    ``M``, ``R`` and ``method`` axes its ``m_samples``, is checked before
+    the first draw.
+
     ``altitude_campaign`` values may be a campaign (path or list) or a
     ``(train, test)`` pair.  When ``out_csv`` is given a long-format CSV
     with one row per (value, iteration) is written for plotting.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"axis must be one of {SWEEP_AXES}")
-    reports = []
+    cfgs = []
     for k, value in enumerate(values):
         if axis == "M":
             cfg = replace(base, m_samples=int(value))
@@ -603,14 +618,30 @@ def sweep(base: EvalConfig, axis: str, values, out_csv=None):
             cfg = replace(base, radius_m=float(value))
         elif axis == "method":
             cfg = replace(base, method=str(value))
+        elif isinstance(value, tuple) and len(value) == 2:
+            cfg = replace(base, train_campaign=value[0],
+                          test_campaign=value[1])
         else:
-            if isinstance(value, tuple) and len(value) == 2:
-                cfg = replace(base, train_campaign=value[0],
-                              test_campaign=value[1])
-            else:
-                cfg = replace(base, test_campaign=value)
-        cfg = replace(cfg, seed=base.seed + k)
-        reports.append(monte_carlo_eval(cfg))
+            cfg = replace(base, test_campaign=value)
+        cfgs.append(replace(cfg, seed=base.seed + k))
+
+    reports = []
+    if axis == "altitude_campaign":
+        for cfg in cfgs:
+            loaded = _load(cfg)
+            reports.append(_run(cfg, loaded, _fit(cfg, loaded)))
+    elif cfgs:
+        loaded = _load(base)
+        for cfg in cfgs:
+            _check_m_samples(cfg, loaded)
+        fitted = None if axis == "method" else _fit(base, loaded)
+        corr = base.corr_model
+        for cfg in cfgs:
+            if axis == "method":
+                fitted = _fit(replace(cfg, corr_model=corr), loaded)
+                if fitted[0] is not None:
+                    corr = fitted[0].corr
+            reports.append(_run(cfg, loaded, fitted))
     if out_csv is not None:
         _write_sweep_csv(out_csv, axis, values, reports)
     return reports

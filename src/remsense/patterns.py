@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParseError, RangeError, _read_csv_rows
+from .errors import ParseError, RangeError, _read_csv_rows, _real
 
 PATTERN_CSV_HEADER = ["az_deg", "el_deg", "gain_dbi"]
 
@@ -137,9 +137,9 @@ def pattern_from_dict(d: dict):
     """Inverse of :func:`pattern_to_dict`; also accepts {"csv": path}."""
     if "preset" in d:
         if d["preset"] == "isotropic":
-            return isotropic_pattern(float(d.get("gain_dbi", 0.0)))
+            return isotropic_pattern(_real(d, "gain_dbi", 0.0))
         if d["preset"] == "dipole":
-            return dipole_pattern(float(d.get("peak_dbi", 2.15)))
+            return dipole_pattern(_real(d, "peak_dbi", 2.15))
         raise ParseError(f"unknown pattern preset {d['preset']!r}")
     if "csv" in d:
         return read_pattern_csv(d["csv"])

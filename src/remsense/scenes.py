@@ -15,8 +15,9 @@ from typing import Optional
 import numpy as np
 from scipy import linalg
 
-from .calibration import CalibratedDelta
-from .errors import ParseError, RangeError, TooManyPoints, _check_real
+from .calibration import CalibratedDelta, _check_min_support
+from .errors import (ParseError, RangeError, TooManyPoints, _check_int,
+                     _check_real, _real)
 from .geo import (GeoPoint, _lag_kernel, _lags, _point_columns,
                   _target_columns, from_local_xy, link_geometry_batch,
                   to_local_xy)
@@ -317,13 +318,12 @@ def _geopoint_to_dict(p: GeoPoint) -> dict:
     return {"lat_deg": p.lat_deg, "lon_deg": p.lon_deg, "alt_m": p.alt_m}
 
 
-def _real(d: dict, key: str, default=None) -> float:
-    """``d[key]``, or ``default`` when given and the key is absent, as a
-    float once :func:`_check_real` accepts it: a string or a bool is
-    rejected, not converted."""
+def _count(d: dict, key: str, low: int, default=None) -> int:
+    """``d[key]``, or ``default`` when given and the key is absent, once
+    :func:`_check_int` accepts it: 2.7 or True is rejected, not truncated."""
     value = d[key] if default is None else d.get(key, default)
-    _check_real(key, value)
-    return float(value)
+    _check_int(key, value, low)
+    return value
 
 
 def _geopoint_from_dict(d: dict) -> GeoPoint:
@@ -375,12 +375,14 @@ def _delta_to_dict(delta: CalibratedDelta) -> dict:
 
 
 def _delta_from_dict(d: dict) -> CalibratedDelta:
+    min_support = d.get("min_support", 1)
+    _check_min_support(min_support)
     return CalibratedDelta(
         az_centers=np.asarray(d["az_centers"], dtype=float),
         el_centers=np.asarray(d["el_centers"], dtype=float),
         delta_db=np.asarray(d["delta_db"], dtype=float),
         support=np.asarray(d["support"], dtype=int),
-        min_support=int(d.get("min_support", 1)),
+        min_support=int(min_support),
     )
 
 
@@ -408,50 +410,58 @@ def scene_from_dict(d: dict) -> SceneSpec:
             gs=_geopoint_from_dict(d["gs"]),
             cfg=_prop_from_dict(d["propagation"]),
             corr=_corr_from_dict(d["correlation"]),
-            noise_sd=float(d.get("noise_sd", 0.0)),
+            noise_sd=_real(d, "noise_sd", 0.0),
             blobs=tuple(
-                Blob(_geopoint_from_dict(b), float(b["radius_m"]),
-                     float(b["depth_db"]))
+                Blob(_geopoint_from_dict(b), _real(b, "radius_m"),
+                     _real(b, "depth_db"))
                 for b in d.get("blobs", [])
             ),
             pattern_distortion=(
                 _delta_from_dict(d["pattern_distortion"])
                 if "pattern_distortion" in d else None
             ),
-            seed=int(d.get("seed", 0)),
+            seed=_count(d, "seed", 0, default=0),
         )
     except KeyError as exc:
         raise ParseError(f"scene document missing key {exc}") from None
 
 
 def trajectory_from_dict(d: dict) -> Trajectory:
-    """Build a trajectory from its JSON description."""
+    """Build a trajectory from its JSON description.
+
+    Every number is checked before it is used: a string or a bool is
+    rejected, not converted, and a count must be an integer.
+    """
     kind = d.get("kind")
-    spacing = float(d.get("sample_spacing_m", 5.0))
+    spacing = _real(d, "sample_spacing_m", 5.0)
     if kind == "lawnmower":
         traj = lawnmower_trajectory(
-            _geopoint_from_dict(d["origin"]), float(d["width_m"]),
-            float(d["height_m"]), int(d["n_rows"]), float(d["alt_m"]), spacing,
+            _geopoint_from_dict(d["origin"]), _real(d, "width_m"),
+            _real(d, "height_m"), _count(d, "n_rows", 2), _real(d, "alt_m"),
+            spacing,
         )
     elif kind == "zigzag":
         traj = zigzag_trajectory(
-            _geopoint_from_dict(d["origin"]), float(d["width_m"]),
-            float(d["height_m"]), int(d["n_legs"]), float(d["alt_m"]), spacing,
+            _geopoint_from_dict(d["origin"]), _real(d, "width_m"),
+            _real(d, "height_m"), _count(d, "n_legs", 1), _real(d, "alt_m"),
+            spacing,
         )
     elif kind == "ring":
         traj = ring_trajectory(
-            _geopoint_from_dict(d["center"]), float(d["radius_m"]),
-            float(d["alt_m"]), spacing,
+            _geopoint_from_dict(d["center"]), _real(d, "radius_m"),
+            _real(d, "alt_m"), spacing,
         )
     elif kind == "custom":
         traj = custom_trajectory(
             [_geopoint_from_dict(p) for p in d["waypoints"]], spacing,
-            float(d["alt_m"]) if "alt_m" in d else None,
+            _real(d, "alt_m") if "alt_m" in d else None,
         )
     else:
         raise ParseError(f"unknown trajectory kind {kind!r}")
     if "altitudes" in d:
-        traj = stack_altitudes(traj, [float(a) for a in d["altitudes"]])
+        for alt in d["altitudes"]:
+            _check_real("altitudes", alt)
+        traj = stack_altitudes(traj, d["altitudes"])
     return traj
 
 

@@ -127,15 +127,36 @@ def test_synth_requires_trajectory(work, tmp_path, capsys):
         assert main(["synth", "--scene", str(bad),
                      "--out", str(tmp_path / "x.csv")]) == 3
         assert "noise_sd must be" in capsys.readouterr().err
-    # a number given as a string or a bool is bad data, not converted
-    for part, key, value in (("propagation", "tx_power_dbm", "23"),
-                             ("gs", "alt_m", True)):
+    # a number given as a string or a bool is bad data, not converted, and
+    # a count given as 2.7 is not truncated
+    doc["trajectory"] = {"kind": "lawnmower", "origin": doc["gs"],
+                         "width_m": 200.0, "height_m": 150.0, "n_rows": 5,
+                         "alt_m": 60.0, "sample_spacing_m": 20.0}
+    for part, key, value, check in (
+            (("propagation",), "tx_power_dbm", "23", "finite"),
+            (("gs",), "alt_m", True, "finite"),
+            ((), "noise_sd", "0.5", "finite"),
+            ((), "seed", 2.7, "an integer >= 0"),
+            (("trajectory",), "n_rows", 2.7, "an integer >= 2"),
+            (("trajectory",), "width_m", "200", "finite"),
+            (("trajectory",), "sample_spacing_m", True, "finite"),
+            (("propagation", "gs_pattern"), "gain_dbi", "3", "finite")):
+        bad_doc = json.loads(json.dumps(doc))
+        inner = bad_doc
+        for name in part:
+            inner = inner[name]
+        inner[key] = value
         bad = tmp_path / "bad_scene.json"
-        bad.write_text(json.dumps({**doc, part: {**doc[part], key: value}}))
+        bad.write_text(json.dumps(bad_doc))
         assert main(["synth", "--scene", str(bad),
                      "--out", str(tmp_path / "x.csv")]) == 3
-        assert f"{key} must be finite, got {value!r}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"{key} must be {check}, got {value!r}" in err
         assert not (tmp_path / "x.csv").exists()
+    good = tmp_path / "lawnmower_scene.json"
+    good.write_text(json.dumps(doc))
+    assert main(["synth", "--scene", str(good),
+                 "--out", str(tmp_path / "x.csv")]) == 0
 
 
 def test_fit_corr_writes_model(work, tmp_path):

@@ -502,12 +502,131 @@ def test_report_serializes(gaussian_campaigns):
 # -------------------------------------------------------------------- sweep
 
 def test_sweep_single_value_equals_plain_eval(gaussian_campaigns):
+    # each value's report is the plain eval of its configuration, with the
+    # seed offset by the value's index, whatever stages the axis shares
     train, test, _ = gaussian_campaigns
-    base = base_cfg(test, train, iterations=4)
-    reports = sweep(base, "M", [50])
-    from dataclasses import replace
-    direct = monte_carlo_eval(replace(base, m_samples=50, seed=base.seed))
-    assert reports[0].rmse_db == direct.rmse_db
+    axes = (
+        ("M", "m_samples", [50]),
+        ("M", "m_samples", [30, 120, 50]),
+        ("R", "radius_m", [70.0, 200.0]),
+        ("method", "method", list(evaluation.METHODS)),
+    )
+    campaigns = [(train, test), test, (train, test[:250])]
+    for extra in ({}, CALIBRATED):
+        base = base_cfg(test, train, iterations=2, corr_model=None, **extra)
+        for axis, name, values in axes:
+            reports = sweep(base, axis, values)
+            assert len(reports) == len(values)
+            for k, (value, report) in enumerate(zip(values, reports)):
+                cfg = dataclasses.replace(base, seed=base.seed + k,
+                                          **{name: value})
+                assert report.to_dict() == monte_carlo_eval(cfg).to_dict()
+        reports = sweep(base, "altitude_campaign", campaigns)
+        for k, (value, report) in enumerate(zip(campaigns, reports)):
+            pair = value if isinstance(value, tuple) else (train, value)
+            cfg = dataclasses.replace(base, train_campaign=pair[0],
+                                      test_campaign=pair[1],
+                                      seed=base.seed + k)
+            assert report.to_dict() == monte_carlo_eval(cfg).to_dict()
+
+
+def test_sweep_loads_and_fits_each_shared_stage_once(monkeypatch, tmp_path,
+                                                     gaussian_campaigns):
+    train, test, _ = gaussian_campaigns
+    write_measurements_csv(tmp_path / "train.csv", train)
+    write_measurements_csv(tmp_path / "test.csv", test)
+    calls = {}
+    for name in ("ingest_measurements", "fit_correlation_model", "_cov_rows"):
+        def counting(*args, _name=name, _f=getattr(evaluation, name),
+                     **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(evaluation, name, counting)
+    base = base_cfg(str(tmp_path / "test.csv"), str(tmp_path / "train.csv"),
+                    method="GPR", iterations=2, corr_model=None)
+    sweep(base, "M", [25, 50, 100, 200])
+    assert calls == {"ingest_measurements": 2, "fit_correlation_model": 1,
+                     "_cov_rows": 1}
+    calls.clear()
+    sweep(dataclasses.replace(base, method="OK"), "R", [70.0, 200.0])
+    assert calls == {"ingest_measurements": 2, "fit_correlation_model": 1}
+    # one raw-domain fit, shared, plus the TG score fits; one table each
+    # for GPR and MC_GPR
+    calls.clear()
+    sweep(base, "method", list(evaluation.METHODS))
+    assert calls == {"ingest_measurements": 2, "fit_correlation_model": 3,
+                     "_cov_rows": 2}
+    # a new campaign is a new load and fit
+    calls.clear()
+    sweep(base, "altitude_campaign", [base.test_campaign] * 2)
+    assert calls == {"ingest_measurements": 4, "fit_correlation_model": 2,
+                     "_cov_rows": 2}
+
+
+def test_sweep_checks_every_value_before_the_first_draw(monkeypatch,
+                                                        gaussian_campaigns):
+    train, test, _ = gaussian_campaigns
+    draws = []
+
+    def counting(cfg, fitted, data, index, counters):
+        draws.append(index)
+        return run_iteration(cfg, fitted, data, index, counters)
+
+    run_iteration = evaluation._run_iteration
+    monkeypatch.setattr(evaluation, "_run_iteration", counting)
+    base = base_cfg(test, train, iterations=2)
+    n = len(test)
+    too_many = rf"^m_samples={n} must be < test campaign size {n}$"
+    for axis, values, error, message in (
+            ("M", [50, n], ValueError, too_many),
+            ("M", [50, 0], rs.RangeError, "m_samples must be an integer"),
+            ("R", [70.0, -1.0], rs.RangeError, "radius_m must be positive"),
+            ("method", ["OK", "IDW"], ValueError, "method must be one of")):
+        with pytest.raises(error, match=message):
+            sweep(base, axis, values)
+    for axis, values in (("R", [70.0, 200.0]), ("method", ["OK", "SK"])):
+        with pytest.raises(ValueError, match=too_many):
+            sweep(dataclasses.replace(base, m_samples=n), axis, values)
+    assert draws == []
+    sweep(base, "M", [50])
+    assert draws == [0, 1]
+
+
+@pytest.mark.parametrize("n_samples", [None, 15])
+@pytest.mark.parametrize("method", evaluation.METHODS[1:])
+def test_fit_given_the_raw_fit_equals_the_fit(gaussian_campaigns, method,
+                                              n_samples):
+    # what lets a method sweep fit the raw-domain model once
+    train, _, _ = gaussian_campaigns
+    samples = extract_sf(train, PROP, GS)[:n_samples]
+    with warnings.catch_warnings():
+        # below 20 samples the TG methods warn and run plain
+        warnings.simplefilter("ignore", UserWarning)
+        fit = fit_residual_model(samples, method)
+        given = fit_residual_model(samples, method, corr=fit.corr)
+    for f in dataclasses.fields(fit):
+        a, b = getattr(fit, f.name), getattr(given, f.name)
+        if isinstance(a, rs.NormalScoreTransform):
+            assert np.array_equal(a.z_nodes, b.z_nodes)
+            assert np.array_equal(a.u_nodes, b.u_nodes)
+            assert a.mean_u == b.mean_u
+        else:
+            assert a == b, f.name
+    assert (fit.transform is None) == (method not in ("TG_OK", "TG_SK")
+                                       or n_samples is not None)
+
+
+def test_eval_leaves_the_warning_registry_alone(gaussian_campaigns):
+    # a warning raised at one place shows once under the "default" action,
+    # however many evals run between its raises
+    train, test, _ = gaussian_campaigns
+    cfg = base_cfg(test, train, iterations=2)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")
+        for _ in range(2):
+            warnings.warn("raised at one place", UserWarning)
+            monte_carlo_eval(cfg)
+    assert [str(w.message) for w in caught] == ["raised at one place"]
 
 
 def test_sweep_more_samples_do_not_hurt(gaussian_campaigns):

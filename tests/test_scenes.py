@@ -1,9 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
 import remsense as rs
 from remsense import geo, scenes
 from remsense.geo import _cross_lags, horizontal_distance
+from remsense.patterns import sector_blockage_delta
 from remsense.propagation import trpl_received_power_db
 from remsense.scenes import (
     Blob,
@@ -321,6 +324,50 @@ def test_scene_dict_errors_and_defaults():
         scene_from_dict({"gs": {"lat_deg": 0.0, "lon_deg": 0.0}})
     with pytest.raises(rs.ParseError):
         trajectory_from_dict({"kind": "spiral"})
+
+    # every number is checked before it is used: a string, a bool or a
+    # count of 2.7 is a RangeError that names the key, not converted
+    full = scene_to_dict(SceneSpec(
+        gs=GS, cfg=PROP, corr=CORR, seed=5, blobs=(Blob(GS, 40.0, 10.0),),
+        pattern_distortion=sector_blockage_delta(150.0, 190.0, -6.0)))
+    assert scene_to_dict(scene_from_dict(full)) == full
+
+    def edited(doc, part, key, value):
+        doc = json.loads(json.dumps(doc))
+        inner = doc
+        for name in part:
+            inner = inner[name]
+        inner[key] = value
+        return doc
+
+    for part, key, value in (
+            ((), "noise_sd", "0.5"), ((), "seed", 2.7), ((), "seed", True),
+            (("blobs", 0), "radius_m", "40"), (("blobs", 0), "depth_db", True),
+            (("propagation", "gs_pattern"), "gain_dbi", "3"),
+            (("pattern_distortion",), "min_support", 2.5),
+            (("pattern_distortion",), "min_support", True)):
+        with pytest.raises(rs.RangeError, match=f"{key} must be"):
+            scene_from_dict(edited(full, part, key, value))
+    with pytest.raises(rs.RangeError, match="peak_dbi must be finite"):
+        scene_from_dict(edited(full, ("propagation",), "uav_pattern",
+                               {"preset": "dipole", "peak_dbi": "2"}))
+    # a whole-number float is a count, as it is for calibrate
+    whole = edited(full, ("pattern_distortion",), "min_support", 3.0)
+    assert scene_from_dict(whole).pattern_distortion.min_support == 3
+
+    zigzag = {"kind": "zigzag", "origin": {"lat_deg": BASE.lat_deg,
+                                           "lon_deg": BASE.lon_deg},
+              "width_m": 300.0, "height_m": 200.0, "n_legs": 3,
+              "alt_m": 50.0, "sample_spacing_m": 20.0,
+              "altitudes": [50.0, 80.0]}
+    assert {p.alt_m for p in trajectory_from_dict(zigzag).waypoints} == {
+        50.0, 80.0}
+    for key, value in (("width_m", "200"), ("height_m", None),
+                       ("n_legs", 2.7), ("n_legs", True),
+                       ("sample_spacing_m", True), ("alt_m", "50"),
+                       ("altitudes", [50.0, "80"])):
+        with pytest.raises(rs.RangeError, match=f"{key} must be"):
+            trajectory_from_dict({**zigzag, key: value})
 
 
 def test_trajectory_dict_stacked_altitudes():
