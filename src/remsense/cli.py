@@ -26,7 +26,7 @@ from .calibration import (
     write_delta_csv,
 )
 from .completion import McConfig, build_grid
-from .errors import RemSenseError, _check_real
+from .errors import RemSenseError, _check_int, _check_real
 from .evaluation import (
     METHODS,
     SWEEP_AXES,
@@ -172,6 +172,11 @@ def _configure(args) -> dict:
 
 
 def _cmd_synth(args):
+    if args.seed is not None:
+        try:
+            _check_int("--seed", args.seed, 0)
+        except ValueError as exc:
+            raise _ConfigProblem(str(exc)) from None
     scene, traj = scene_from_json(args.scene)
     if traj is None:
         raise _ConfigProblem("scene file has no 'trajectory' entry")

@@ -104,8 +104,7 @@ def lawnmower_trajectory(origin: GeoPoint, width_m: float, height_m: float,
                          n_rows: int, alt_m: float,
                          sample_spacing_m: float = 5.0) -> Trajectory:
     """Boustrophedon sweep: east-west rows connected by short hops north."""
-    if n_rows < 2:
-        raise RangeError("lawnmower needs at least two rows")
+    _check_int("n_rows", n_rows, 2)
     ys = np.linspace(0.0, height_m, n_rows)
     verts = []
     for i, y in enumerate(ys):
@@ -120,8 +119,7 @@ def zigzag_trajectory(origin: GeoPoint, width_m: float, height_m: float,
                       n_legs: int, alt_m: float,
                       sample_spacing_m: float = 5.0) -> Trajectory:
     """Diagonal sawtooth across the area, ``n_legs`` alternating legs."""
-    if n_legs < 1:
-        raise RangeError("zigzag needs at least one leg")
+    _check_int("n_legs", n_legs, 1)
     verts = [(0.0, 0.0)]
     dx = width_m / n_legs
     for i in range(1, n_legs + 1):
@@ -437,13 +435,13 @@ def trajectory_from_dict(d: dict) -> Trajectory:
     if kind == "lawnmower":
         traj = lawnmower_trajectory(
             _geopoint_from_dict(d["origin"]), _real(d, "width_m"),
-            _real(d, "height_m"), _count(d, "n_rows", 2), _real(d, "alt_m"),
+            _real(d, "height_m"), d["n_rows"], _real(d, "alt_m"),
             spacing,
         )
     elif kind == "zigzag":
         traj = zigzag_trajectory(
             _geopoint_from_dict(d["origin"]), _real(d, "width_m"),
-            _real(d, "height_m"), _count(d, "n_legs", 1), _real(d, "alt_m"),
+            _real(d, "height_m"), d["n_legs"], _real(d, "alt_m"),
             spacing,
         )
     elif kind == "ring":

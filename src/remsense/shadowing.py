@@ -15,7 +15,6 @@ weighted least squares.
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import optimize
 
 from .errors import DegenerateLink, FitDiverged, InsufficientData, RangeError
 from .geo import GeoPoint, _blocks, _lags, link_geometry_batch
@@ -319,7 +318,12 @@ def empirical_correlation(sf, dh_edges=None, dv_edges=None,
     )
 
 
-def _model_values(params, dh, dv, fix_a_one):
+def _model_params(params, fix_a_one):
+    """Fit parameters clipped into range, as ``(a, p1, p2, q)``.
+
+    ``params`` is ``(a, p1, p2, q)``, or ``(p1, q)`` with a = 1 and p2 = p1
+    when ``fix_a_one``.  The scalar clip keeps the sign of a zero.
+    """
     if fix_a_one:
         p1, q = params
         a, p2 = 1.0, p1
@@ -329,7 +333,113 @@ def _model_values(params, dh, dv, fix_a_one):
     p1 = min(max(p1, 0.0), MAX_RATE_PER_M)
     p2 = min(max(p2, 0.0), MAX_RATE_PER_M)
     q = min(max(q, 0.0), MAX_RATE_PER_M)
-    return _correlation(a, p1, p2, q, dh, dv), (a, p1, p2, q)
+    return a, p1, p2, q
+
+
+def _nelder_mead_rows(fobj, X0, xatol, fatol, maxiter, maxfev):
+    """Nelder-Mead from every row of ``X0`` at once, in lockstep.
+
+    Each row follows scipy's non-adaptive Nelder-Mead (``minimize`` with
+    ``method="Nelder-Mead"``) step for step: its initial simplex, its
+    coefficients and operand order, its ``argsort`` ordering and its stop
+    rules, with the ``maxfev`` budget checked before each objective call.
+    ``fobj`` maps ``(m, N)`` parameter rows to ``m`` objective values, and a
+    row's value must not depend on the other rows.  Row ``s`` of the result
+    then equals scipy's ``x`` and ``fun`` from ``X0[s]`` bit for bit, while
+    the rows share each ``fobj`` call: one for the reflections and one for
+    the expansion or contraction points of a step, and one per shrink.
+
+    Returns:
+        ``(x, fun)``: each row's best vertex, and the least value of its
+        simplex (NaN if a vertex value is NaN).
+    """
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    x0 = np.asarray(X0, dtype=float)
+    S, N = x0.shape
+    sim = np.repeat(x0[:, None, :], N + 1, axis=1)
+    k = np.arange(N)
+    # vertex k + 1 moves coordinate k by 5 %, or to 0.00025 from zero
+    sim[:, k + 1, k] = np.where(x0 != 0, (1 + 0.05) * x0, 0.00025)
+    fsim = np.full((S, N + 1), np.inf)
+    fcalls = np.zeros(S, dtype=np.int64)
+    nit = np.ones(S, dtype=np.int64)
+    row = np.arange(S)[:, None]
+    vertex = np.arange(N + 1)
+
+    def call(want, x):
+        """Values at ``x`` for the rows that want a call and have budget."""
+        ok = want & (fcalls < maxfev)
+        fx = np.full(S, np.nan)
+        if ok.any():
+            fx[ok] = fobj(x[ok])
+            fcalls[ok] += 1
+        return fx, ok
+
+    def order(rows):
+        ind = np.where(rows[:, None], np.argsort(fsim, axis=1), vertex)
+        sim[:], fsim[:] = sim[row, ind], fsim[row, ind]
+
+    # the initial vertices in order, as far as the budget goes; scipy then
+    # sorts the simplex twice
+    n0 = int(min(N + 1, maxfev))
+    if n0 > 0:
+        fsim[:, :n0] = np.reshape(fobj(sim[:, :n0].reshape(-1, N)), (S, n0))
+        fcalls[:] = n0
+    everyone = np.ones(S, dtype=bool)
+    order(everyone)
+    order(everyone)
+
+    done = np.zeros(S, dtype=bool)
+    while True:
+        with np.errstate(invalid="ignore"):
+            converged = (
+                (np.max(np.abs(sim[:, 1:] - sim[:, :1]), axis=(1, 2)) <= xatol)
+                & (np.max(np.abs(fsim[:, :1] - fsim[:, 1:]), axis=1) <= fatol)
+            )
+        done |= (fcalls >= maxfev) | (nit >= maxiter) | converged
+        live = ~done
+        if not live.any():
+            break
+
+        xbar = np.add.reduce(sim[:, :-1], 1) / N
+        worst = sim[:, -1]
+        xr = (1 + rho) * xbar - rho * worst
+        fxr, alive = call(live, xr)
+        expand = alive & (fxr < fsim[:, 0])
+        accept = alive & ~expand & (fxr < fsim[:, -2])
+        outside = alive & ~expand & ~accept & (fxr < fsim[:, -1])
+        inside = alive & ~expand & ~accept & ~outside
+
+        # one second point per row: expansion or either contraction
+        x2 = np.where(
+            expand[:, None], (1 + rho * chi) * xbar - rho * chi * worst,
+            np.where(outside[:, None], (1 + psi * rho) * xbar - psi * rho * worst,
+                     (1 - psi) * xbar + psi * worst))
+        fx2, ok = call(expand | outside | inside, x2)
+        alive = accept | ok
+
+        take_x2 = ok & ((expand & (fx2 < fxr)) | (outside & (fx2 <= fxr))
+                        | (inside & (fx2 < fsim[:, -1])))
+        take_xr = accept | (expand & ok & ~take_x2)
+        shrink = ok & (outside | inside) & ~take_x2
+        sim[:, -1] = np.where(take_x2[:, None], x2,
+                              np.where(take_xr[:, None], xr, worst))
+        fsim[:, -1] = np.where(take_x2, fx2, np.where(take_xr, fxr, fsim[:, -1]))
+
+        if shrink.any():
+            # each vertex moves, then is evaluated, until the budget ends;
+            # a row that runs out does not count the iteration
+            left = np.where(shrink, maxfev - fcalls, -1)[:, None]
+            moved = sim[:, :1] + sigma * (sim[:, 1:] - sim[:, :1])
+            evaluate = k < left
+            sim[:, 1:][k <= left] = moved[k <= left]
+            fsim[:, 1:][evaluate] = fobj(moved[evaluate])
+            fcalls += np.count_nonzero(evaluate, axis=1)
+            alive &= ~(shrink & (left[:, 0] < N))
+
+        nit += alive
+        order(live)
+    return sim[:, 0].copy(), np.min(fsim, axis=1)
 
 
 def fit_correlation_model(table: CorrelationTable, fix_a_one: bool = False,
@@ -340,7 +450,9 @@ def fit_correlation_model(table: CorrelationTable, fix_a_one: bool = False,
     Nelder-Mead search covers mixing weights across [0, 1] and decay
     rates across several orders of magnitude, always including a
     nugget-like start at the rate clamp so uncorrelated data resolves
-    there instead of diverging.  The returned model is canonicalized to
+    there instead of diverging.  The starts run in lockstep, each equal
+    to scipy's Nelder-Mead from that start, and each is polished by one
+    restart from its optimum.  The returned model is canonicalized to
     p1 >= p2.
 
     Raises:
@@ -359,9 +471,16 @@ def fit_correlation_model(table: CorrelationTable, fix_a_one: bool = False,
     w = table.count[mask].astype(float)
     w = w / w.sum()
 
-    def objective(params):
-        r_mod, _ = _model_values(params, dh, dv, fix_a_one)
-        return float(np.sum(w * (r_mod - r_emp) ** 2))
+    upper = np.array([MAX_RATE_PER_M] * 2 if fix_a_one
+                     else [1.0] + [MAX_RATE_PER_M] * 3)
+
+    def objective(rows):
+        # _model_params' clip on every row at once, then one (m, bins)
+        # table of model values and one weighted loss per row
+        cols = np.minimum(np.maximum(rows, 0.0), upper).T[:, :, None]
+        a, p1, p2, q = (1.0, cols[0], cols[0], cols[1]) if fix_a_one else cols
+        r_mod = _correlation(a, p1, p2, q, dh, dv)
+        return np.sum(w * (r_mod - r_emp) ** 2, axis=1)
 
     if fix_a_one:
         starts = [
@@ -377,18 +496,18 @@ def fit_correlation_model(table: CorrelationTable, fix_a_one: bool = False,
                 starts.append((a0, p10, p20, 0.05))
 
     opts = dict(xatol=1e-11, fatol=1e-15, maxiter=4000, maxfev=8000)
+    x, _ = _nelder_mead_rows(objective, starts, **opts)
+    # restart once from each located optimum; standard simplex polish
+    x, fun = _nelder_mead_rows(objective, x, **opts)
     best = None
-    for x0 in starts:
-        res = optimize.minimize(objective, x0, method="Nelder-Mead", options=opts)
-        # restart once from the located optimum; standard simplex polish
-        res = optimize.minimize(objective, res.x, method="Nelder-Mead", options=opts)
-        if np.isfinite(res.fun) and (best is None or res.fun < best.fun):
-            best = res
+    for s in range(len(starts)):
+        if np.isfinite(fun[s]) and (best is None or fun[s] < fun[best]):
+            best = s
     if best is None:
         raise FitDiverged("no start converged to a finite objective")
 
-    _, (a, p1, p2, q) = _model_values(best.x, dh, dv, fix_a_one)
-    rms = float(np.sqrt(best.fun))
+    a, p1, p2, q = _model_params(x[best], fix_a_one)
+    rms = float(np.sqrt(fun[best]))
     if rms > residual_threshold:
         raise FitDiverged(
             f"weighted RMS residual {rms:.3f} exceeds {residual_threshold}"

@@ -112,6 +112,17 @@ def test_synth_seed_control(work, tmp_path):
     assert len(ingest_measurements(a)) >= 8
 
 
+def test_synth_checks_seed_before_reading_the_scene(work, tmp_path, capsys):
+    missing = str(work / "nope.json")
+    assert main(["synth", "--scene", missing, "--out", str(tmp_path / "x.csv"),
+                 "--seed", "-1"]) == 2
+    assert "--seed must be an integer >= 0, got -1" in capsys.readouterr().err
+    # the same missing scene with a good seed is a missing file
+    assert main(["synth", "--scene", missing, "--out", str(tmp_path / "x.csv"),
+                 "--seed", "0"]) == 3
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_synth_requires_trajectory(work, tmp_path, capsys):
     code = main(["synth", "--scene", str(work / "scene_no_traj.json"),
                  "--out", str(tmp_path / "x.csv")])

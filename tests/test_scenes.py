@@ -88,10 +88,19 @@ def test_stack_altitudes_repeats_ground_track():
 
 
 def test_trajectory_validation():
-    with pytest.raises(rs.RangeError):
-        lawnmower_trajectory(BASE, 100.0, 100.0, n_rows=1, alt_m=50.0)
-    with pytest.raises(rs.RangeError):
-        zigzag_trajectory(BASE, 100.0, 100.0, n_legs=0, alt_m=50.0)
+    # a count must be an integer: 2.7 is not truncated, True is not 1
+    for n_rows in (1, 0, 2.7, 2.0, True, "3"):
+        with pytest.raises(rs.RangeError,
+                           match=f"n_rows must be an integer >= 2, got {n_rows!r}"):
+            lawnmower_trajectory(BASE, 100.0, 100.0, n_rows=n_rows, alt_m=50.0)
+    for n_legs in (0, -1, 2.5, 1.0, True, False):
+        with pytest.raises(rs.RangeError,
+                           match=f"n_legs must be an integer >= 1, got {n_legs!r}"):
+            zigzag_trajectory(BASE, 100.0, 100.0, n_legs=n_legs, alt_m=50.0)
+    assert lawnmower_trajectory(BASE, 100.0, 100.0, n_rows=np.int64(2),
+                                alt_m=50.0).kind == "lawnmower"
+    assert zigzag_trajectory(BASE, 100.0, 100.0, n_legs=1,
+                             alt_m=50.0).kind == "zigzag"
     for radius in (0.0, np.nan):
         with pytest.raises(rs.RangeError):
             ring_trajectory(BASE, radius, alt_m=50.0)

@@ -1,14 +1,22 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
+from scipy import optimize
 
 import remsense as rs
-from remsense import geo
+from remsense import geo, shadowing
 from remsense.geo import _arc_distance, _lags, link_geometry
 from remsense.gpr import gpr_fit
 from remsense.kriging import KrigingConfig, predict
+from remsense.patterns import sector_blockage_delta
 from remsense.shadowing import (
+    MAX_RATE_PER_M,
     CorrelationTable,
     SampleSet,
+    _correlation,
+    _model_params,
+    _nelder_mead_rows,
     empirical_correlation,
     extract_sf,
     fit_correlation_model,
@@ -321,6 +329,180 @@ def test_fit_diverges_on_impossible_values():
                            n_pairs_used=tab.n_pairs_used)
     with pytest.raises(rs.FitDiverged):
         fit_correlation_model(bad)
+
+
+def same_bits(a, b):
+    """Equal bit for bit up to the NaN payload, the sign of zero included."""
+    a, b = np.asarray(a, float), np.asarray(b, float)
+    return (np.array_equal(a, b, equal_nan=True)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+def scipy_fit(table, fix_a_one):
+    """The per-start scipy loop that the lockstep search replaced.
+
+    Returns the model and each start's polished ``OptimizeResult``.
+    """
+    mask = table.count > 0
+    dh_c, dv_c = np.meshgrid(table.dh_centers, table.dv_centers, indexing="ij")
+    dh, dv, r_emp = dh_c[mask], dv_c[mask], table.value[mask]
+    w = table.count[mask].astype(float)
+    w = w / w.sum()
+
+    def objective(params):
+        r_mod = _correlation(*_model_params(params, fix_a_one), dh, dv)
+        return float(np.sum(w * (r_mod - r_emp) ** 2))
+
+    if fix_a_one:
+        starts = [(MAX_RATE_PER_M, MAX_RATE_PER_M), (0.1, 0.1), (0.01, 0.05),
+                  (0.001, 0.01)]
+    else:
+        starts = [(0.5, MAX_RATE_PER_M, MAX_RATE_PER_M, MAX_RATE_PER_M)]
+        for a0 in (0.25, 0.5, 0.75, 1.0):
+            for p10, p20 in ((0.1, 0.01), (0.01, 0.001)):
+                starts.append((a0, p10, p20, 0.05))
+    opts = dict(xatol=1e-11, fatol=1e-15, maxiter=4000, maxfev=8000)
+    polished, best = [], None
+    for x0 in starts:
+        res = optimize.minimize(objective, x0, method="Nelder-Mead", options=opts)
+        res = optimize.minimize(objective, res.x, method="Nelder-Mead", options=opts)
+        polished.append(res)
+        if np.isfinite(res.fun) and (best is None or res.fun < best.fun):
+            best = res
+    a, p1, p2, q = _model_params(best.x, fix_a_one)
+    if p2 > p1:
+        a, p1, p2 = 1.0 - a, p2, p1
+    model = rs.CorrelationModel(a=a, p1=p1, p2=p2, q=q, sigma_z=table.sigma)
+    return model, polished
+
+
+def _campaign(seed, traj, cfg=PROP, **scene):
+    rows, _ = rs.generate_campaign(
+        rs.SceneSpec(gs=GS, cfg=cfg, corr=CORR, seed=seed, **scene), traj)
+    return rows
+
+
+@pytest.fixture(scope="module")
+def fit_tables(gaussian_campaigns):
+    """Tables from the test and benchmark campaign shapes and edge cases."""
+    train, test, _ = gaussian_campaigns
+    base = rs.GeoPoint(35.721, -78.702, 50.0)
+    friis = rs.PropagationConfig(carrier_hz=3.32e9, tx_power_dbm=23.0,
+                                 ground_rel_permittivity=1.0)
+    campaigns = {
+        "zz-train": (train, PROP),
+        "zz-test": (test, PROP),
+        "zz-both-altitudes": (list(train) + list(test), PROP),
+        "zz-train-seed-1": (_campaign(1101, rs.lawnmower_trajectory(
+            base, 500.0, 400.0, 10, 50.0, 14.0)), PROP),
+        "zz-test-seed-1": (_campaign(1102, rs.zigzag_trajectory(
+            base, 500.0, 400.0, 11, 70.0, 14.0)), PROP),
+        "c06-train": (_campaign(301, rs.lawnmower_trajectory(
+            base, 750.0, 600.0, 12, 60.0, 12.0)), PROP),
+        "c06-test": (_campaign(302, rs.lawnmower_trajectory(
+            base, 750.0, 600.0, 18, 70.0, 9.0))[:1500], PROP),
+        # the bulk scene at a quarter of its sample density
+        "bulk-coarse": (_campaign(701, rs.lawnmower_trajectory(
+            rs.GeoPoint(35.721, -78.702, 60.0), 900.0, 800.0, 12, 60.0, 18.0),
+            cfg=friis, noise_sd=0.5,
+            pattern_distortion=sector_blockage_delta(150.0, 190.0, -6.0)),
+            friis),
+    }
+    tables = {name: empirical_correlation(extract_sf(rows, cfg, GS))
+              for name, (rows, cfg) in campaigns.items()}
+    white = extract_sf(train, PROP, GS)
+    z = np.random.default_rng(1).standard_normal(len(white))
+    tables["white-noise"] = empirical_correlation(
+        SampleSet(white.lat, white.lon, white.alt, z, white.seq))
+    exact = analytic_table(CORR)
+    tables["analytic"] = exact
+    tables["zero"] = CorrelationTable(
+        dh_edges=exact.dh_edges, dv_edges=exact.dv_edges,
+        value=np.zeros_like(exact.value), count=exact.count, sigma=2.0,
+        mean_z=0.0, n_pairs_total=exact.n_pairs_total,
+        n_pairs_used=exact.n_pairs_used)
+    # one altitude, exact values: q is not identified
+    count = np.zeros_like(exact.count)
+    count[:, 0] = exact.count[:, 0]
+    tables["single-altitude-exact"] = CorrelationTable(
+        dh_edges=exact.dh_edges, dv_edges=exact.dv_edges, value=exact.value,
+        count=count, sigma=exact.sigma, mean_z=0.0,
+        n_pairs_total=int(count.sum()), n_pairs_used=int(count.sum()))
+    return tables
+
+
+@pytest.mark.parametrize("fix_a_one", [False, True])
+def test_fit_equals_scipy_nelder_mead_start_by_start(fit_tables, fix_a_one,
+                                                     monkeypatch):
+    runs = []
+
+    def recorded(*args, **kwargs):
+        runs.append(_nelder_mead_rows(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(shadowing, "_nelder_mead_rows", recorded)
+    for name, table in fit_tables.items():
+        runs.clear()
+        model = fit_correlation_model(table, fix_a_one=fix_a_one)
+        expected, polished = scipy_fit(table, fix_a_one)
+        # field for field, with each field's type and the sign of a zero
+        assert [repr(v) for v in astuple(model)] == \
+            [repr(v) for v in astuple(expected)], name
+        # every start's polished optimum and value, the winner's among them
+        (_, _), (x, fun) = runs
+        assert len(x) == len(polished)
+        for s, res in enumerate(polished):
+            assert same_bits(x[s], res.x), (name, s)
+            assert same_bits(fun[s], res.fun), (name, s)
+        if name in ("white-noise", "zero"):
+            assert max(model.p1, model.p2) == MAX_RATE_PER_M, name
+
+
+def _plateaus(x):
+    # a bowl rounded to 0.01: its plateaus tie values and force shrinks
+    return float(np.round(np.sum((x - 0.25) ** 2), 2))
+
+
+def _nan_beyond(x):
+    # NaN for x[0] > 1.6, which the last start's first simplex reaches
+    if x[0] > 1.6:
+        return np.nan
+    return float(np.sum(np.abs(x - np.array([0.5, -1.0, 2.0]))))
+
+
+@pytest.mark.parametrize("f", [_plateaus, _nan_beyond])
+def test_nelder_mead_rows_stop_rules_equal_scipy(f):
+    starts = np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 0.0], [-1.5, 0.5, 2.0],
+                       [1.55, 1.0, 1.0]])
+    calls = []
+
+    def fobj(rows):
+        calls.append(len(rows))
+        return np.array([f(x) for x in rows])
+
+    # where the first start's first shrink begins: one call of N rows
+    _nelder_mead_rows(fobj, starts[:1], 1e-10, 1e-12, 500, 8000)
+    used = np.cumsum(calls)
+    shrinks = [int(used[i - 1]) for i in range(1, len(calls)) if calls[i] == 3]
+    budgets = list(range(0, 40))
+    if f is _plateaus:
+        # the first start runs out one and two calls into a shrink
+        assert shrinks and shrinks[0] + 2 < budgets[-1]
+
+    stops = [(1, 8000), (2, 8000), (9, 8000), (500, 8000)]
+    stops += [(500, m) for m in budgets]
+    for maxiter, maxfev in stops:
+        x, fun = _nelder_mead_rows(fobj, starts, 1e-10, 1e-12, maxiter, maxfev)
+        for s, x0 in enumerate(starts):
+            res = optimize.minimize(
+                f, x0, method="Nelder-Mead",
+                options=dict(xatol=1e-10, fatol=1e-12, maxiter=maxiter,
+                             maxfev=maxfev))
+            assert same_bits(x[s], res.x), (maxiter, maxfev, s)
+            assert same_bits(fun[s], res.fun), (maxiter, maxfev, s)
+    if f is _nan_beyond:
+        x, fun = _nelder_mead_rows(fobj, starts, 1e-10, 1e-12, 1, 8000)
+        assert np.isnan(fun[3]) and np.isfinite(fun[:3]).all()
 
 
 # ------------------------------------------------------------- model algebra
