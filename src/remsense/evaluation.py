@@ -80,6 +80,10 @@ ELEVATION_BIN_DEG = 10.0
 ELEVATION_BIN_COUNT = 9  # centers 5, 15, ..., 85 degrees
 # values in the GPR covariance table of a test campaign: n <= 2896 rows
 _COV_TABLE_ELEMENTS = 8 * _BLOCK_ELEMENTS
+# a run's tallies: the report's counters, and its diagnostics of the
+# kriging systems solved (zero for the other methods)
+_COUNTERS = ("fallback_targets", "variance_clamps", "mc_bisection_maxed")
+_DIAGNOSTICS = ("systems", "k_sum", "k_max", "jitter_retries")
 
 
 @dataclass(frozen=True)
@@ -147,7 +151,13 @@ class EvalConfig:
 
 @dataclass
 class EvaluationReport:
-    """Self-describing evaluation outcome."""
+    """Self-describing evaluation outcome.
+
+    ``diagnostics`` counts the kriging systems the draws solved
+    (``systems``, the kriged targets), their neighbour counts (``k_sum``,
+    ``k_max``) and the systems lifted by ``jitter`` (``jitter_retries``);
+    all four are 0 for the other methods.
+    """
 
     method: str
     calibrated: bool
@@ -156,6 +166,7 @@ class EvaluationReport:
     elevation_bin_centers: list
     elevation_bin_rmse_db: list
     counters: dict
+    diagnostics: dict
     n_train: int
     n_test: int
     config: dict
@@ -169,6 +180,7 @@ class EvaluationReport:
             "elevation_bin_centers": list(self.elevation_bin_centers),
             "elevation_bin_rmse_db": list(self.elevation_bin_rmse_db),
             "counters": dict(self.counters),
+            "diagnostics": dict(self.diagnostics),
             "n_train": self.n_train,
             "n_test": self.n_test,
             "config": self.config,
@@ -436,11 +448,15 @@ def _fit(cfg: EvalConfig, loaded: _Loaded):
 def _residuals_kriging(cfg, fit, data, s_idx, z_m, t_idx, counters):
     """Krige the residual at each target from its sampled neighbours.
 
-    The systems are :func:`kriging.predict_batch`'s, from the same
-    neighbour order (distance, then ``seq``), and each estimate is
-    written as it writes it.  The TG methods krige normal scores with
-    the score-domain model and back-transform them in one call; without
-    a transform they run as the plain variant.
+    The systems are :func:`kriging.predict_batch`'s, in its groups of
+    equal neighbour count k (at most 2 MB of model matrices at a time)
+    and its neighbour order (distance, then ``seq``), and each estimate
+    is written as it writes it.  Each target's system is solved by its
+    own ``solve_ordinary`` or ``solve_simple`` call, looked up here.
+    The TG methods krige normal scores with the score-domain model and
+    back-transform them in one call; without a transform they run as
+    the plain variant.  ``counters`` gains the fallback targets and the
+    ``_DIAGNOSTICS`` of the systems solved.
     """
     ordinary = cfg.method in ("OK", "TG_OK")
     transform = fit.transform
@@ -456,20 +472,27 @@ def _residuals_kriging(cfg, fit, data, s_idx, z_m, t_idx, counters):
     kriged = np.zeros(len(t_idx), dtype=bool)
     mse = np.zeros(len(t_idx))
     mu = np.zeros(len(t_idx))
-    for k, idx, a_nn, a_t in _systems(samples, model, ordinary,
-                                      data.lat[t_idx], data.lon[t_idx],
-                                      data.alt[t_idx], cfg.radius_m):
-        nb = values[idx]
-        if ordinary:
-            w, mu[k] = solve_ordinary(a_nn, a_t, cfg.jitter)
-            out[k] = w @ nb
-        else:
-            w = solve_simple(a_nn, a_t, cfg.jitter)
-            out[k] = mean + w @ (nb - mean)
-        kriged[k] = True
-        if transform is not None:
-            var = w @ a_t + mu[k] if ordinary else model.sigma_z**2 - w @ a_t
-            mse[k] = max(float(var), 0.0)
+    for targets, idx, a_nn, a_t in _systems(samples, model, ordinary,
+                                            data.lat[t_idx], data.lon[t_idx],
+                                            data.alt[t_idx], cfg.radius_m):
+        g, k = idx.shape
+        counters["systems"] += g
+        counters["k_sum"] += g * k
+        counters["k_max"] = max(counters["k_max"], k)
+        nb = values[idx] if ordinary else values[idx] - mean
+        for t, g_nn, g_t, g_nb in zip(targets, a_nn, a_t, nb):
+            if ordinary:
+                w, mu[t] = solve_ordinary(g_nn, g_t, cfg.jitter,
+                                          _counters=counters)
+                out[t] = w @ g_nb
+            else:
+                w = solve_simple(g_nn, g_t, cfg.jitter, _counters=counters)
+                out[t] = mean + w @ g_nb
+            if transform is not None:
+                var = (w @ g_t + mu[t] if ordinary
+                       else model.sigma_z**2 - w @ g_t)
+                mse[t] = max(float(var), 0.0)
+        kriged[targets] = True
     counters["fallback_targets"] += int(np.count_nonzero(~kriged))
     if transform is not None:
         out[kriged] = transform.back_transform(out[kriged], mse[kriged],
@@ -541,10 +564,9 @@ def _run(cfg: EvalConfig, loaded: _Loaded, fitted) -> EvaluationReport:
     _check_m_samples(cfg, loaded)
     rmse = np.empty(cfg.iterations)
     bin_rmse = np.full((cfg.iterations, ELEVATION_BIN_COUNT), np.nan)
-    counters = {"fallback_targets": 0, "variance_clamps": 0,
-                "mc_bisection_maxed": 0}
+    tally = dict.fromkeys(_COUNTERS + _DIAGNOSTICS, 0)
     for i in range(cfg.iterations):
-        err, bins = _run_iteration(cfg, fitted, loaded, i, counters)
+        err, bins = _run_iteration(cfg, fitted, loaded, i, tally)
         sq = err**2
         rmse[i] = np.sqrt(np.mean(sq))
         for b in np.unique(bins):
@@ -566,7 +588,8 @@ def _run(cfg: EvalConfig, loaded: _Loaded, fitted) -> EvaluationReport:
         elevation_bin_rmse_db=[
             float(v) if np.isfinite(v) else None for v in bin_median
         ],
-        counters=counters,
+        counters={k: tally[k] for k in _COUNTERS},
+        diagnostics={k: tally[k] for k in _DIAGNOSTICS},
         n_train=0 if loaded.train is None else len(loaded.train),
         n_test=loaded.n,
         config=_config_echo(cfg),

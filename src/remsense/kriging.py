@@ -69,33 +69,37 @@ class KrigingPrediction:
     fallback: bool = False
 
 
-def _ball(d_h: np.ndarray, seq: np.ndarray, radius_m: float) -> np.ndarray:
-    """Indices with ``d_h <= radius_m``, by distance then ``seq``."""
-    idx = np.nonzero(d_h <= radius_m)[0]
-    return idx[np.lexsort((seq[idx], d_h[idx]))]
+# model values one chunk of a k group gathers at most, G k^2 (2 MB)
+_GROUP_ELEMENTS = 1 << 18
 
 
 def _solve_with_retry(mat: np.ndarray, rhs: np.ndarray, jitter: float,
-                      n_data: int):
-    """Solve, retrying once with a diagonal lift on the data block."""
+                      n_data: int, counters: dict = None):
+    """Solve, retrying once with a diagonal lift on the data block.
+
+    ``counters``, when given, gains one ``jitter_retries`` per lift.
+    """
     try:
         sol = np.linalg.solve(mat, rhs)
-        if np.all(np.isfinite(sol)):
+        if np.isfinite(sol).all():
             return sol
     except np.linalg.LinAlgError:
         pass
+    if counters is not None:
+        counters["jitter_retries"] += 1
     lifted = mat.copy()
     lifted[np.arange(n_data), np.arange(n_data)] += jitter
     try:
         sol = np.linalg.solve(lifted, rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(f"kriging system singular even with jitter: {exc}")
-    if not np.all(np.isfinite(sol)):
+    if not np.isfinite(sol).all():
         raise SingularSystem("kriging system produced non-finite weights")
     return sol
 
 
-def solve_ordinary(gamma_nn: np.ndarray, gamma_t: np.ndarray, jitter: float):
+def solve_ordinary(gamma_nn: np.ndarray, gamma_t: np.ndarray, jitter: float,
+                   _counters: dict = None):
     """Weights and Lagrange multiplier of the ordinary-kriging system."""
     k = gamma_nn.shape[0]
     mat = np.empty((k + 1, k + 1))
@@ -103,15 +107,18 @@ def solve_ordinary(gamma_nn: np.ndarray, gamma_t: np.ndarray, jitter: float):
     mat[:k, k] = 1.0
     mat[k, :k] = 1.0
     mat[k, k] = 0.0
-    rhs = np.concatenate([gamma_t, [1.0]])
-    sol = _solve_with_retry(mat, rhs, jitter, k)
+    rhs = np.empty(k + 1)
+    rhs[:k] = gamma_t
+    rhs[k] = 1.0
+    sol = _solve_with_retry(mat, rhs, jitter, k, _counters)
     return sol[:k], float(sol[k])
 
 
-def solve_simple(cov_nn: np.ndarray, cov_t: np.ndarray, jitter: float):
+def solve_simple(cov_nn: np.ndarray, cov_t: np.ndarray, jitter: float,
+                 _counters: dict = None):
     """Weights of the simple-kriging system."""
     k = cov_nn.shape[0]
-    return _solve_with_retry(cov_nn, cov_t, jitter, k)
+    return _solve_with_retry(cov_nn, cov_t, jitter, k, _counters)
 
 
 class NormalScoreTransform:
@@ -226,40 +233,62 @@ def normal_score(sf) -> NormalScoreTransform:
 def _systems(s: SampleSet, model: CorrelationModel, ordinary: bool,
              lat: np.ndarray, lon: np.ndarray, alt: np.ndarray,
              radius_m: float):
-    """Kriging systems of the targets that have a sample within ``radius_m``.
+    """Kriging systems of the targets that have a sample within ``radius_m``,
+    in groups of equal neighbour count k.
 
-    Yields ``(t, idx, a_nn, a_t)`` per such target ``t``, in order:
-    ``idx`` indexes its neighbours in ``s`` (:func:`_ball` order),
-    ``a_nn`` is the model matrix among them and ``a_t`` the model
-    vector from them to the target.  The model is the semivariogram when
-    ``ordinary``, else the covariance.
+    Yields ``(targets, idx, a_nn, a_t)`` per group: ``targets`` (G,)
+    indexes the targets, ``idx`` (G, k) each one's neighbours in ``s``,
+    by distance with ties broken by ``seq``, ``a_nn`` (G, k, k) the
+    model matrix among them and ``a_t`` (G, k) the model vector from
+    them to the target.  The model is the semivariogram when
+    ``ordinary``, else the covariance.  Each target is in one group.
 
-    The targets are walked in :func:`geo._blocks` over the sample
-    count.  Per block, one lag block from the targets to all samples
-    gives each target's neighbours, and the model matrix is built once
-    over the union U of those neighbours (8|U|^2 bytes, at most 8n^2 for
-    n samples); each target's system is indexed out of it.  Every entry
-    is the value a single-target build would give, so a target's system
-    does not depend on the batch around it.
+    The samples are put in ``seq`` order once, and the targets walked in
+    :func:`geo._blocks` over the sample count.  Per block, one lag block
+    from the targets to the samples gives the neighbours: a stable sort
+    of each row's in-radius distances (the rest set to +inf) keeps
+    equal distances in ``seq`` order.  The model matrix is built once
+    over the union U of the block's neighbours (8|U|^2 bytes, at most
+    8n^2 for n samples); each group is gathered out of it by one flat
+    ``take``, in chunks of G k^2 <= ``_GROUP_ELEMENTS`` values (2 MB,
+    or one system when k^2 is larger), and its ``a_t`` is the model at
+    its in-radius lags alone.  Every entry is the value a single-target
+    build would give, so a target's system does not depend on the batch
+    or the group around it.
     """
     model_at = model.semivariogram_at if ordinary else model.covariance_at
-    for b in _blocks(len(lat), len(s)):
-        dh, dv = _cross_lags(lat[b], lon[b], alt[b], s.lat, s.lon, s.alt)
-        union = np.nonzero((dh <= radius_m).any(axis=0))[0]
-        if union.size == 0:
+    order = np.argsort(s.seq, kind="stable")
+    lat_s, lon_s, alt_s = s.lat[order], s.lon[order], s.alt[order]
+    n = len(s)
+    for b in _blocks(len(lat), n):
+        dh, dv = _cross_lags(lat[b], lon[b], alt[b], lat_s, lon_s, alt_s)
+        inside = dh <= radius_m
+        k = np.count_nonzero(inside, axis=1)
+        kept = np.flatnonzero(k)
+        if kept.size == 0:
             continue
-        a_tn = model_at(dh, dv)
+        union = np.flatnonzero(inside.any(axis=0))
+        n_u = union.size
+        at = np.empty(n, dtype=np.intp)
+        at[union] = np.arange(n_u)
         # the kernel is exactly symmetric; its transpose is C-ordered,
-        # which makes the row-then-column gathers below cheap
-        a_uu = _lag_kernel(model_at, s.lat[union], s.lon[union],
-                           s.alt[union]).T
-        for row, t in enumerate(range(b.start, b.stop)):
-            idx = _ball(dh[row], s.seq, radius_m)
-            if idx.size == 0:
-                continue
-            pos = np.searchsorted(union, idx)
-            yield (t, idx, a_uu.take(pos, axis=0).take(pos, axis=1),
-                   a_tn[row, idx])
+        # so it ravels without a copy
+        a_uu = _lag_kernel(model_at, lat_s[union], lon_s[union],
+                           alt_s[union]).T.ravel()
+        near = np.argsort(np.where(inside, dh, np.inf), axis=1,
+                          kind="stable")
+        by_k = kept[np.argsort(k[kept], kind="stable")]
+        for rows in np.split(by_k, np.flatnonzero(np.diff(k[by_k])) + 1):
+            kk = int(k[rows[0]])
+            step = max(1, _GROUP_ELEMENTS // (kk * kk))
+            for c in range(0, rows.size, step):
+                chunk = rows[c:c + step]
+                cols = near[chunk, :kk]
+                p = at[cols]
+                flat = chunk[:, None] * n + cols
+                yield (b.start + chunk, order[cols],
+                       a_uu.take(p[:, :, None] * n_u + p[:, None, :]),
+                       model_at(dh.take(flat), dv.take(flat)))
 
 
 def predict_batch(samples, model: CorrelationModel, lat, lon, alt,
@@ -270,7 +299,7 @@ def predict_batch(samples, model: CorrelationModel, lat, lon, alt,
     ``lat``, ``lon`` and ``alt`` are equal-length target columns (a
     scalar is one target).  Each target is kriged from the samples
     within ``cfg.radius_m`` of it, ordered by distance with ties broken
-    by ``seq`` (:func:`_ball`).  OK and TG_OK solve the semivariogram
+    by ``seq``.  OK and TG_OK solve the semivariogram
     system with a Lagrange multiplier, SK and TG_SK the covariance
     system around a known mean.  The TG variants krige the neighbours'
     normal scores around ``transform.mean_u`` with ``model_u`` (or
@@ -280,9 +309,12 @@ def predict_batch(samples, model: CorrelationModel, lat, lon, alt,
     model alone (residual 0, the kriged model's prior variance) and are
     flagged.
 
-    The systems come from :func:`_systems`, which builds each one out of
-    a per-block model matrix, so a target's result does not depend on
-    the batch around it.
+    The systems come from :func:`_systems` in groups of equal
+    neighbour count, gathered out of a per-block model matrix in chunks
+    of at most 2 MB, so a target's result does not depend on the batch
+    around it.  Each system is still solved by its own
+    :func:`solve_ordinary` or :func:`solve_simple` call, and its
+    estimate written with ``@``.
 
     Returns:
         A :class:`KrigingPrediction` of per-target arrays.
@@ -315,18 +347,19 @@ def predict_batch(samples, model: CorrelationModel, lat, lon, alt,
     if transform is not None:
         values = np.asarray(transform.forward(values), dtype=float)
         mean = transform.mean_u
-    for t, idx, a_nn, a_t in _systems(s, model, ordinary, lat, lon, alt,
-                                      cfg.radius_m):
-        nb = values[idx]
-        if ordinary:
-            w, mu[t] = solve_ordinary(a_nn, a_t, cfg.jitter)
-            z_hat[t] = w @ nb
-            mse[t] = max(float(w @ a_t + mu[t]), 0.0)
-        else:
-            w = solve_simple(a_nn, a_t, cfg.jitter)
-            z_hat[t] = mean + w @ (nb - mean)
-            mse[t] = max(float(model.sigma_z**2 - w @ a_t), 0.0)
-        used[t] = idx.size
+    for targets, idx, a_nn, a_t in _systems(s, model, ordinary, lat, lon,
+                                            alt, cfg.radius_m):
+        nb = values[idx] if ordinary else values[idx] - mean
+        for t, g_nn, g_t, g_nb in zip(targets, a_nn, a_t, nb):
+            if ordinary:
+                w, mu[t] = solve_ordinary(g_nn, g_t, cfg.jitter)
+                z_hat[t] = w @ g_nb
+                mse[t] = max(float(w @ g_t + mu[t]), 0.0)
+            else:
+                w = solve_simple(g_nn, g_t, cfg.jitter)
+                z_hat[t] = mean + w @ g_nb
+                mse[t] = max(float(model.sigma_z**2 - w @ g_t), 0.0)
+        used[targets] = idx.shape[1]
     fallback = used == 0
     if transform is not None:
         kriged = ~fallback

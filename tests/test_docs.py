@@ -26,6 +26,7 @@ DEMOS = ("01_two_ray_link.py", "02_shadow_recovery.py", "03_deep_shadow.py",
 RETIRED = {
     "ok_predict": "kriging", "sk_predict": "kriging", "tg_predict": "kriging",
     "select_neighbors": "kriging", "_predict_in_ball": "kriging",
+    "_ball": "kriging",
     "NoNeighbors": "errors", "gpr_predict": "gpr",
     "mc_assisted_predict": "completion", "vertical_distance": "geo",
     "correlation": "shadowing", "covariance": "shadowing",

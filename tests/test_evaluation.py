@@ -24,7 +24,7 @@ from remsense.scenes import (
 )
 from remsense.shadowing import empirical_correlation, extract_sf
 
-from conftest import CORR, GS, PROP
+from conftest import CORR, GS, PROP, offset_point
 
 QUIET = rs.CorrelationModel(a=0.7, p1=0.05, p2=0.005, q=0.1, sigma_z=0.0)
 
@@ -311,6 +311,60 @@ def test_kriged_residuals_equal_predict_batch(monkeypatch, gaussian_campaigns,
     assert fallbacks == report.counters["fallback_targets"]
     # the zigzag's legs leave targets more than 70 m from any sample
     assert (fallbacks > 0) == (radius_m == 70.0)
+
+
+@pytest.mark.parametrize("method", evaluation.METHODS)
+def test_report_diagnostics_count_the_kriged_systems(monkeypatch,
+                                                     gaussian_campaigns,
+                                                     method):
+    train, test, _ = gaussian_campaigns
+    used = []
+
+    def recording(cfg, fit, data, s_idx, z_m, t_idx, counters):
+        samples = rs.SampleSet(data.lat[s_idx], data.lon[s_idx],
+                               data.alt[s_idx], z_m, data.seq[s_idx])
+        kcfg = rs.KrigingConfig(radius_m=cfg.radius_m, variant=cfg.method,
+                                mean_z=fit.mean_z)
+        used.append(rs.predict_batch(
+            samples, fit.corr, data.lat[t_idx], data.lon[t_idx],
+            data.alt[t_idx], kcfg, transform=fit.transform,
+            model_u=fit.corr_u).neighbors_used)
+        return residuals(cfg, fit, data, s_idx, z_m, t_idx, counters)
+
+    residuals = evaluation._residuals_kriging
+    monkeypatch.setattr(evaluation, "_residuals_kriging", recording)
+    iterations = 2 if method == "MC_GPR" else 4
+    report = monte_carlo_eval(base_cfg(test, train, method=method,
+                                       radius_m=70.0, iterations=iterations))
+    diag = report.to_dict()["diagnostics"]
+    assert list(diag) == ["systems", "k_sum", "k_max", "jitter_retries"]
+    if method not in ("OK", "SK", "TG_OK", "TG_SK"):
+        assert not used and set(diag.values()) == {0}
+        return
+    k = np.concatenate(used)
+    assert diag == {"systems": int(np.count_nonzero(k)),
+                    "k_sum": int(k.sum()), "k_max": int(k.max()),
+                    "jitter_retries": 0}
+    assert diag["systems"] == (iterations * (len(test) - 100)
+                               - report.counters["fallback_targets"])
+
+
+@pytest.mark.parametrize("method", ["OK", "SK"])
+def test_eval_counts_the_jitter_retries(method):
+    # four rows share a location, so whichever row a draw holds out, its
+    # system holds duplicates
+    p = offset_point(GS, 60.0, 0.0, 60.0)
+    rows = [rs.Measurement(p, -60.0 - k, seq=k) for k in range(4)]
+    rows.append(rs.Measurement(offset_point(GS, 90.0, 30.0, 60.0), -62.0,
+                               seq=4))
+    cfg = base_cfg(rows, method=method, m_samples=4, iterations=1,
+                   radius_m=500.0)
+    report = monte_carlo_eval(cfg)
+    assert report.diagnostics == {"systems": 1, "k_sum": 4, "k_max": 4,
+                                  "jitter_retries": 1}
+    assert np.isfinite(report.rmse_db[0])
+    with pytest.raises(rs.SingularSystem):
+        monte_carlo_eval(dataclasses.replace(cfg, jitter=0.0))
 
 
 # calibrated runs bin the train campaign's directions at 10 degrees: the

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 import remsense as rs
-from remsense.geo import (_arc_distance, _lags, _point_columns,
+from remsense.geo import (_arc_distance, _cross_lags, _lags, _point_columns,
                           horizontal_distance)
 from remsense.kriging import (
     KrigingConfig,
     NormalScoreTransform,
-    _ball,
+    _systems,
     normal_score,
     predict,
 )
@@ -218,11 +218,13 @@ def test_prediction_invariant_under_sample_order():
 # ------------------------------------------------------------ neighborhoods
 
 def ball(samples, target, radius_m):
-    """Indices of the neighbours :func:`predict` krige ``target`` from."""
+    """Indices of the neighbours :func:`predict` krige ``target`` from:
+    those with ``d_h <= radius_m``, by distance then ``seq``."""
     s = rs.SampleSet.from_samples(samples)
     d_h, _ = _lags(s.lat, s.lon, s.alt, target.lat_deg, target.lon_deg,
                    target.alt_m)
-    return _ball(d_h, s.seq, radius_m)
+    idx = np.nonzero(d_h <= radius_m)[0]
+    return idx[np.lexsort((s.seq[idx], d_h[idx]))]
 
 
 def test_select_neighbors_closed_ball_boundary():
@@ -611,31 +613,103 @@ def test_predict_batch_unchanged_by_block_size(monkeypatch):
             m.setattr(rs.geo, "_BLOCK_ELEMENTS", 64)
             blocked = rs.predict_batch(sf, CORR, *cols, cfg, transform=tr,
                                        model_u=UNIT)
+        with monkeypatch.context() as m:
+            # every system its own chunk of its k group
+            m.setattr(rs.kriging, "_GROUP_ELEMENTS", 1)
+            single = rs.predict_batch(sf, CORR, *cols, cfg, transform=tr,
+                                      model_u=UNIT)
         for name in ("z_hat", "mse", "neighbors_used", "lagrange_mu",
                      "fallback"):
             np.testing.assert_array_equal(getattr(blocked, name),
                                           getattr(whole, name))
+            np.testing.assert_array_equal(getattr(single, name),
+                                          getattr(whole, name))
+
+
+def _group_scene():
+    """Samples with a duplicated location, ``seq`` out of row order and
+    one sample exactly on the radius of one target; one target has no
+    neighbour."""
+    pts = scatter(40, 260.0, seed=41, alt_jitter=10.0)
+    pts[7] = pts[21]
+    seq = np.random.default_rng(42).permutation(40)
+    # the duplicate later in the rows comes first in seq order
+    seq[[7, 21]] = (max(seq[7], seq[21]), min(seq[7], seq[21]))
+    sf = [rs.SfSample(p, 0.0, int(q)) for p, q in zip(pts, seq)]
+    targets = scatter(30, 300.0, seed=43, alt_jitter=15.0)
+    targets.append(offset_point(GS, 3000.0, 3000.0, 60.0))
+    lat, lon, alt = _point_columns(targets)
+    s = rs.SampleSet.from_samples(sf)
+    d_h, _ = _cross_lags(lat, lon, alt, s.lat, s.lon, s.alt)
+    return sf, targets, float(d_h[0, 3])
+
+
+@pytest.mark.parametrize("ordinary", [True, False])
+@pytest.mark.parametrize("cap", [None, 1])
+def test_systems_groups_equal_per_target_brute_force(monkeypatch, ordinary,
+                                                     cap):
+    sf, targets, radius = _group_scene()
+    if cap is not None:
+        monkeypatch.setattr(rs.kriging, "_GROUP_ELEMENTS", cap)
+    model_at = CORR.semivariogram_at if ordinary else CORR.covariance_at
+    s = rs.SampleSet.from_samples(sf)
+    seen = {}
+    for group in _systems(s, CORR, ordinary, *_point_columns(targets),
+                          radius):
+        t, idx, a_nn, a_t = group
+        g, k = idx.shape
+        assert k > 0 and t.shape == (g,)
+        assert a_nn.shape == (g, k, k) and a_t.shape == (g, k)
+        if cap == 1:
+            assert g == 1
+        for row in zip(*group):
+            assert int(row[0]) not in seen
+            seen[int(row[0])] = row[1:]
+    want = {j: ball(sf, p, radius) for j, p in enumerate(targets)}
+    assert sorted(seen) == [j for j in want if want[j].size]
+    assert want[len(targets) - 1].size == 0
+    # the boundary sample is in, and the duplicates go in seq order
+    assert 3 in want[0]
+    assert any(list(w[np.isin(w, (7, 21))]) == [21, 7] for w in want.values())
+    for j, (idx, a_nn, a_t) in seen.items():
+        nb = want[j]
+        np.testing.assert_array_equal(idx, nb)
+        np.testing.assert_array_equal(a_nn, model_at(*_cross_lags(
+            s.lat[nb], s.lon[nb], s.alt[nb], s.lat[nb], s.lon[nb],
+            s.alt[nb])))
+        p = targets[j]
+        np.testing.assert_array_equal(a_t, model_at(*_lags(
+            p.lat_deg, p.lon_deg, p.alt_m, s.lat[nb], s.lon[nb], s.alt[nb])))
 
 
 def test_predict_batch_jitter_retry_is_per_system():
     p = offset_point(GS, 60.0, 0.0, 60.0)
-    others = [offset_point(GS, 400.0 + 20.0 * k, 30.0 * (k % 2), 60.0)
-              for k in range(5)]
-    sf = samples_of([p, p] + others, [1.0, 1.2, 0.3, -0.5, 0.8, 1.1, -0.2])
+    others = [offset_point(GS, 400.0, 0.0, 60.0),
+              offset_point(GS, 440.0, 0.0, 60.0),
+              offset_point(GS, 0.0, 400.0, 60.0),
+              offset_point(GS, 0.0, 440.0, 60.0)]
+    sf = samples_of([p, p] + others, [1.0, 1.2, 0.3, -0.5, 0.8, 1.1])
     near = offset_point(GS, 80.0, 0.0, 60.0)
-    far = offset_point(GS, 440.0, 15.0, 60.0)
-    lat, lon, alt = _point_columns([near, far])
-    exact = KrigingConfig(radius_m=200.0, variant="SK", jitter=0.0)
-    with pytest.raises(rs.SingularSystem):
-        rs.predict_batch(sf, CORR, lat, lon, alt, exact)
-    lifted = dataclasses.replace(exact, jitter=1e-6)
-    got = rs.predict_batch(sf, CORR, lat, lon, alt, lifted)
-    assert np.all(np.isfinite(got.z_hat))
-    # only the duplicates' system is lifted
-    alone = rs.predict_batch(sf, CORR, lat[1:], lon[1:], alt[1:], exact)
-    assert got.z_hat[1] == alone.z_hat[0]
-    assert got.mse[1] == alone.mse[0]
-    assert got.z_hat[0] == predict(sf, CORR, near, lifted).z_hat
+    lat, lon, alt = _point_columns([near, offset_point(GS, 420.0, 10.0, 60.0),
+                                    offset_point(GS, 10.0, 420.0, 60.0)])
+    # the duplicates' system shares its k = 2 group with two others
+    groups = _systems(rs.SampleSet.from_samples(sf), CORR, True, lat, lon,
+                      alt, 100.0)
+    assert [g[0].tolist() for g in groups] == [[0, 1, 2]]
+    for variant in ("OK", "SK"):
+        exact = KrigingConfig(radius_m=100.0, variant=variant, jitter=0.0)
+        with pytest.raises(rs.SingularSystem):
+            rs.predict_batch(sf, CORR, lat, lon, alt, exact)
+        lifted = dataclasses.replace(exact, jitter=1e-6)
+        got = rs.predict_batch(sf, CORR, lat, lon, alt, lifted)
+        assert np.all(np.isfinite(got.z_hat))
+        assert got.z_hat[0] == predict(sf, CORR, near, lifted).z_hat
+        # only the duplicates' system is lifted
+        alone = rs.predict_batch(sf, CORR, lat[1:], lon[1:], alt[1:], exact)
+        for name in ("z_hat", "mse", "neighbors_used", "lagrange_mu"):
+            if getattr(got, name) is not None:
+                np.testing.assert_array_equal(getattr(got, name)[1:],
+                                              getattr(alone, name))
 
 
 def test_predict_batch_validates_like_predict():
