@@ -33,6 +33,8 @@ EARTH_RADIUS_M = 6_371_000.0
 _BLOCK_ELEMENTS = 1 << 20
 # every block but the last holds a whole multiple of this many items
 _BLOCK_ALIGN = 24
+# float64 values in one chunk of an elementwise chain: 2**16, 512 kB
+_CHUNK_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -120,7 +122,7 @@ def horizontal_distance(a: GeoPoint, b: GeoPoint) -> float:
     )
 
 
-def _arc_distance(lat1, lon1, lat2, lon2):
+def _arc_distance(lat1, lon1, lat2, lon2, out=None):
     """Spherical arc length, vectorized, degrees in / metres out.
 
     Haversine form of the great-circle arc: algebraically the same
@@ -128,43 +130,60 @@ def _arc_distance(lat1, lon1, lat2, lon2):
     precision at short range (the arccos form loses eight digits below a
     kilometre and cannot return exactly zero for coincident points,
     which downstream exact-interpolation guarantees rely on).
+
+    The result is written into ``out`` when given, which must have the
+    broadcast shape and may be a strided view.  Each term is computed in
+    place on its own temporary, with the same ufuncs in the same order
+    either way, so ``out`` changes no bit.
     """
     lat1 = np.asarray(lat1, dtype=float)
     lat2 = np.asarray(lat2, dtype=float)
-    dlon = np.asarray(lon2, dtype=float) - np.asarray(lon1, dtype=float)
-    # one term at a time, so that few temporaries of the broadcast
-    # shape are alive at once; squares are products, since ``** 2`` on
-    # a scalar goes through ``pow`` and may round differently
-    h = np.sin(np.radians(lat2 - lat1) / 2.0)
-    h *= h
-    s = np.sin(np.radians(dlon) / 2.0)
-    s *= s
-    h = h + np.cos(np.radians(lat1)) * np.cos(np.radians(lat2)) * s
+    # the two squared half-angle sines, each in place on one temporary
+    # (0-d for scalar inputs); squares are products, since ``** 2`` on a
+    # scalar goes through ``pow`` and may round differently
+    h = np.asarray(lat2 - lat1)
+    s = np.asarray(np.asarray(lon2, dtype=float)
+                   - np.asarray(lon1, dtype=float))
+    for t in (h, s):
+        np.radians(t, out=t)
+        np.divide(t, 2.0, out=t)
+        np.sin(t, out=t)
+        np.multiply(t, t, out=t)
+    c = np.cos(np.radians(lat1)) * np.cos(np.radians(lat2))
+    if out is None:
+        out = np.empty(np.broadcast(h, c, s).shape)
+    np.multiply(c, s, out=out)
+    np.add(h, out, out=out)
     # rounding can push the haversine a hair outside [0, 1]
-    h = np.clip(h, 0.0, 1.0)
-    return 2.0 * EARTH_RADIUS_M * np.arcsin(np.sqrt(h))
+    np.clip(out, 0.0, 1.0, out=out)
+    np.sqrt(out, out=out)
+    np.arcsin(out, out=out)
+    np.multiply(2.0 * EARTH_RADIUS_M, out, out=out)
+    return out if out.ndim else out[()]
 
 
-def _lags(lat1, lon1, alt1, lat2, lon2, alt2):
+def _lags(lat1, lon1, alt1, lat2, lon2, alt2, out=None):
     """Horizontal and vertical lag ``(d_h, d_v)`` in metres, elementwise.
 
     ``d_h`` is the great-circle distance between the ground projections
     and ``d_v`` the absolute altitude difference: the two arguments of
     the separable correlation model.  Inputs broadcast like numpy
-    arithmetic, and no input is copied to the broadcast shape.
+    arithmetic, and no input is copied to the broadcast shape.  ``d_h``
+    is written into ``out`` when given, as :func:`_arc_distance` does.
     """
-    d_h = _arc_distance(lat1, lon1, lat2, lon2)
+    d_h = _arc_distance(lat1, lon1, lat2, lon2, out)
     return d_h, np.abs(np.asarray(alt1, dtype=float)
                        - np.asarray(alt2, dtype=float))
 
 
-def _cross_lags(lat1, lon1, alt1, lat2, lon2, alt2):
+def _cross_lags(lat1, lon1, alt1, lat2, lon2, alt2, out=None):
     """:func:`_lags` from every point of 1-D columns 1 to every point of 2.
 
-    Both returned matrices have shape ``(len(lat1), len(lat2))``.
+    Both returned matrices have shape ``(len(lat1), len(lat2))``; ``d_h``
+    is written into ``out`` when given.
     """
     return _lags(lat1[:, None], lon1[:, None], alt1[:, None],
-                 lat2[None, :], lon2[None, :], alt2[None, :])
+                 lat2[None, :], lon2[None, :], alt2[None, :], out)
 
 
 def _grid_axes(lat, lon, alt):
@@ -192,7 +211,7 @@ def _grid_axes(lat, lon, alt):
     return lat_rows, lon_cols
 
 
-def _grid_lags(lat1, lon1, alt1, lat_rows, lon_cols, alt2, nodes):
+def _grid_lags(lat1, lon1, alt1, lat_rows, lon_cols, alt2, nodes, out=None):
     """:func:`_cross_lags` from 1-D columns 1 to a slice of grid nodes.
 
     The targets are the ``nodes`` slice of the row-major nodes of the
@@ -200,27 +219,32 @@ def _grid_lags(lat1, lon1, alt1, lat_rows, lon_cols, alt2, nodes):
     is cut into at most three rectangles of the grid (the tail of its
     first row, its whole rows, the head of its last row), and each goes
     through :func:`_lags` with points 1 shaped ``(n, 1, 1)``, grid rows
-    ``(1, r, 1)`` and grid columns ``(1, 1, c)``.  The sines and cosines
-    of :func:`_arc_distance` are then taken once per (point, row) and
-    per (point, column); only their combination runs per node.  Each
-    node's lag is made of the same operations on the same values as in
+    ``(1, r, 1)`` and grid columns ``(1, 1, c)``, into the ``(n, r, c)``
+    view of the columns of ``d_h`` it fills.  The sines and cosines of
+    :func:`_arc_distance` are then taken once per (point, row) and per
+    (point, column); only their combination runs per node.  Each node's
+    lag is made of the same operations on the same values as in
     :func:`_cross_lags`, so it has the same bits.  Cutting the slice,
     rather than covering its rows whole, computes no node outside it,
     and keeps a block near its size when grid rows are longer than it.
 
-    Returns ``d_h`` of shape ``(n, len(nodes))`` and ``d_v`` as one
-    column ``(n, 1)``, since every node has the same altitude.
+    Returns ``d_h`` of shape ``(n, len(nodes))``, written into ``out``
+    when given, and ``d_v`` as one column ``(n, 1)``, since every node
+    has the same altitude.
     """
+    n = len(lat1)
+    if out is None:
+        out = np.empty((n, nodes.stop - nodes.start))
     lat1, lon1 = lat1[:, None, None], lon1[:, None, None]
-    pieces = []
+    at = 0
     for rows, cols in _grid_rectangles(nodes, lon_cols.size):
-        d_h, d_v = _lags(lat1, lon1, alt1[:, None],
-                         lat_rows[None, rows, None], lon_cols[None, None, cols],
-                         alt2)
-        pieces.append(d_h.reshape(len(lat1), -1))
-    if len(pieces) == 1:
-        return pieces[0], d_v
-    return np.concatenate(pieces, axis=1), d_v
+        shape = (n, rows.stop - rows.start, cols.stop - cols.start)
+        width = shape[1] * shape[2]
+        _, d_v = _lags(lat1, lon1, alt1[:, None],
+                       lat_rows[None, rows, None], lon_cols[None, None, cols],
+                       alt2, out[:, at:at + width].reshape(shape))
+        at += width
+    return out, d_v
 
 
 def _grid_rectangles(nodes, n_cols):
@@ -242,18 +266,23 @@ def _grid_rectangles(nodes, n_cols):
 
 
 def _lag_kernel(cov_at, lat, lon, alt):
-    """``cov_at(d_h, d_v)`` between every two points of 1-D columns.
+    """``cov_at(d_h, d_v, out)`` between every two points of 1-D columns.
 
-    The n x n result is allocated once, in Fortran order, and filled one
-    block of columns at a time, so no other array of its size exists
-    and LAPACK can factorize it in place.  Each block is computed as
-    rows and stored transposed, which :func:`_lags` allows: swapping
-    its two points gives the same bits.
+    The n x n result is allocated once, in Fortran order, so LAPACK can
+    factorize it in place.  Its transpose is a C-ordered view, and each
+    chunk of rows of that view (a chunk of the result's columns) is
+    filled with the chunk's lags to every point and then, in place,
+    their model values: no other array of the result's size exists, and
+    each chunk's passes stay in cache.  Swapping the two points of
+    :func:`_lags` gives the same bits, so the result is the same either
+    way round.
     """
     n = len(lat)
     out = np.empty((n, n), order="F")
-    for b in _blocks(n, n):
-        out[:, b] = cov_at(*_cross_lags(lat[b], lon[b], alt[b], lat, lon, alt)).T
+    rows = out.T
+    for c in _chunks(n, n):
+        cov_at(*_cross_lags(lat[c], lon[c], alt[c], lat, lon, alt, rows[c]),
+               rows[c])
     return out
 
 
@@ -271,7 +300,22 @@ def _blocks(n: int, width: int):
     the items.
     """
     step = _BLOCK_ELEMENTS // max(1, width) // _BLOCK_ALIGN * _BLOCK_ALIGN
-    step = max(_BLOCK_ALIGN, step)
+    return _slices(n, max(_BLOCK_ALIGN, step))
+
+
+def _chunks(n: int, width: int):
+    """Consecutive slices covering ``range(n)``, in order, of about
+    ``_CHUNK_ELEMENTS // width`` items each and at least one.
+
+    A chunk of items times ``width`` float64 values stays near 512 kB,
+    so the few passes an elementwise chain makes over it run in L2
+    cache instead of streaming each temporary through memory.
+    """
+    return _slices(n, max(1, _CHUNK_ELEMENTS // max(1, width)))
+
+
+def _slices(n: int, step: int):
+    """Slices of ``step`` items covering ``range(n)``, in order."""
     for start in range(0, n, step):
         yield slice(start, min(start + step, n))
 

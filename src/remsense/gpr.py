@@ -14,7 +14,7 @@ from scipy.linalg import blas
 
 from .errors import (DuplicateLocations, InsufficientData, SingularSystem,
                      TooManyPoints)
-from .geo import (_blocks, _cross_lags, _grid_axes, _grid_lags,
+from .geo import (_blocks, _chunks, _cross_lags, _grid_axes, _grid_lags,
                   _lag_kernel, _target_columns)
 from .shadowing import (CorrelationModel, SampleSet, empirical_correlation,
                         transformed_model)
@@ -48,7 +48,7 @@ def gpr_fit(samples, corr: CorrelationModel, sigma_y: float,
             sigma_gp: float, *, _kernel=None) -> GprModel:
     """Factorize the training covariance and precompute the mean solve.
 
-    The n x n kernel is allocated once, filled in column blocks and
+    The n x n kernel is allocated once, filled in column chunks and
     factorized in place, so the fit peaks at about 8 n^2 bytes; it is
     :func:`_cov_rows` on the samples.  A caller that already holds that
     kernel, or a Fortran-ordered gather of a larger one, passes it as
@@ -135,18 +135,25 @@ def _mean(model: GprModel, k0):
 def _cross_cov_blocks(model: GprModel, lat, lon, alt):
     """``(block, k0)`` over fixed-size blocks of checked target columns;
     ``k0`` is the latent covariance from every training row to the
-    block's targets.  Targets that are the row-major nodes of a grid
-    get their lags from per-row and per-column terms, with the same
-    bits."""
+    block's targets.  Each block's ``k0`` is allocated once and filled
+    one :func:`geo._chunks` chunk of training rows at a time, lags and
+    then, in place, covariances, so each chunk's passes stay in cache.
+    Targets that are the row-major nodes of a grid get their lags from
+    per-row and per-column terms, with the same bits."""
     t = model.train
     cov_at = transformed_model(model.corr, model.sigma_y).covariance_at
     axes = _grid_axes(lat, lon, alt)
     for b in _blocks(lat.size, len(t)):
-        if axes is None:
-            lags = _cross_lags(t.lat, t.lon, t.alt, lat[b], lon[b], alt[b])
-        else:
-            lags = _grid_lags(t.lat, t.lon, t.alt, *axes, alt[0], b)
-        yield b, cov_at(*lags)
+        k0 = np.empty((len(t), b.stop - b.start))
+        for c in _chunks(len(t), k0.shape[1]):
+            if axes is None:
+                lags = _cross_lags(t.lat[c], t.lon[c], t.alt[c],
+                                   lat[b], lon[b], alt[b], k0[c])
+            else:
+                lags = _grid_lags(t.lat[c], t.lon[c], t.alt[c], *axes,
+                                  alt[0], b, k0[c])
+            cov_at(*lags, k0[c])
+        yield b, k0
 
 
 def gpr_predict_mean(model: GprModel, lat, lon, alt) -> np.ndarray:

@@ -156,22 +156,51 @@ class CorrelationModel:
         if self.sigma_z < 0.0:
             raise RangeError("sigma_z must be >= 0")
 
-    def correlation_at(self, d_h, d_v):
-        """Correlation for horizontal/vertical lags in metres."""
+    def correlation_at(self, d_h, d_v, out=None):
+        """Correlation for horizontal/vertical lags in metres.
+
+        Written into ``out`` when given, which may be ``d_h`` itself but
+        not ``d_v``, with the same bits; so are :meth:`covariance_at`
+        and :meth:`semivariogram_at`.
+        """
         return _correlation(self.a, self.p1, self.p2, self.q,
-                            np.asarray(d_h, float), np.asarray(d_v, float))
+                            np.asarray(d_h, float), np.asarray(d_v, float),
+                            out)
 
-    def covariance_at(self, d_h, d_v):
-        return self.sigma_z**2 * self.correlation_at(d_h, d_v)
+    def covariance_at(self, d_h, d_v, out=None):
+        return np.multiply(self.sigma_z**2,
+                           self.correlation_at(d_h, d_v, out), out=out)
 
-    def semivariogram_at(self, d_h, d_v):
-        return self.sigma_z**2 * (1.0 - self.correlation_at(d_h, d_v))
+    def semivariogram_at(self, d_h, d_v, out=None):
+        r = self.correlation_at(d_h, d_v, out)
+        return np.multiply(self.sigma_z**2, np.subtract(1.0, r, out=out),
+                           out=out)
 
 
-def _correlation(a, p1, p2, q, d_h, d_v):
-    """The module docstring's ``R(d_h, d_v)``, for parameters in range."""
-    return np.exp(-q * d_v) * (a * np.exp(-p1 * d_h)
-                               + (1.0 - a) * np.exp(-p2 * d_h))
+def _correlation(a, p1, p2, q, d_h, d_v, out=None):
+    """The module docstring's ``R(d_h, d_v)``, for parameters in range.
+
+    With ``out``, an array of the broadcast shape that may be ``d_h``
+    itself but not ``d_v``, the same ufuncs run on the same operands in
+    the same order, in place, so the result has the same bits and a
+    chunk of a dense kernel takes one temporary of its size (two with a
+    full-size ``d_v``) instead of eight or more.  Without it, the one
+    expression below makes fewer calls, which the fit's many small
+    tables need.
+    """
+    if out is None:
+        return np.exp(-q * d_v) * (a * np.exp(-p1 * d_h)
+                                   + (1.0 - a) * np.exp(-p2 * d_h))
+    vertical = np.asarray(-q * d_v)
+    np.exp(vertical, out=vertical)
+    second = np.asarray(-p2 * d_h)
+    np.exp(second, out=second)
+    np.multiply(1.0 - a, second, out=second)
+    np.multiply(-p1, d_h, out=out)
+    np.exp(out, out=out)
+    np.multiply(a, out, out=out)
+    np.add(out, second, out=out)
+    return np.multiply(vertical, out, out=out)
 
 
 def _predicted_power(cfg: PropagationConfig, gs: GeoPoint, lat, lon, alt,

@@ -7,8 +7,9 @@ import pytest
 import remsense as rs
 from remsense import geo
 from remsense.completion import GridSpec
-from remsense.geo import (_blocks, _cross_lags, _grid_axes, _grid_lags, _lags,
-                          from_local_xy, to_local_xy)
+from remsense.geo import (_arc_distance, _blocks, _cross_lags, _grid_axes,
+                          _grid_lags, _lag_kernel, _lags, from_local_xy,
+                          to_local_xy)
 
 from conftest import east_of, offset_point
 
@@ -37,10 +38,23 @@ class TestGeoPoint:
         rs.GeoPoint(-90.0, -180.0, 0.0)
 
 
+def haversine(lat1, lon1, lat2, lon2):
+    """The haversine as one allocating expression per term: the
+    reference :func:`geo._arc_distance` must equal bit for bit."""
+    lat1, lat2 = np.asarray(lat1, dtype=float), np.asarray(lat2, dtype=float)
+    dlon = np.asarray(lon2, dtype=float) - np.asarray(lon1, dtype=float)
+    h = np.sin(np.radians(lat2 - lat1) / 2.0)
+    s = np.sin(np.radians(dlon) / 2.0)
+    h = h * h + np.cos(np.radians(lat1)) * np.cos(np.radians(lat2)) * (s * s)
+    return 2.0 * rs.EARTH_RADIUS_M * np.arcsin(np.sqrt(np.clip(h, 0.0, 1.0)))
+
+
 class TestHorizontalDistance:
     def test_identity(self):
         a = rs.GeoPoint(12.0, 34.0, 5.0)
         assert rs.horizontal_distance(a, a) == 0.0
+        assert type(rs.horizontal_distance(a, rs.GeoPoint(12.1, 34.0, 5.0))) \
+            is float
 
     def test_one_degree_meridian(self):
         a = rs.GeoPoint(0.0, 0.0, 3.0)
@@ -125,11 +139,42 @@ class TestLags:
                     rs.horizontal_distance(pa, pb), rel=1e-12)
                 assert d_v[i, j] == abs(pa.alt_m - pb.alt_m)
 
+    def test_out_forms_write_the_same_bits(self):
+        a, b = self._columns(6, 9), self._columns(7, 40)
+        want = haversine(a[0][:, None], a[1][:, None], b[0], b[1])
+        assert _arc_distance(a[0][:, None], a[1][:, None], b[0],
+                             b[1]).tobytes() == want.tobytes()
+        want_v = np.abs(a[2][:, None] - b[2])
+        # a C-ordered block, and a column range of a wider array
+        for out in (np.empty((9, 40)), np.zeros((9, 50))[:, 3:43]):
+            d_h, d_v = _cross_lags(*a, *b, out)
+            assert d_h is out
+            assert d_h.tobytes() == want.tobytes()
+            assert d_v.tobytes() == want_v.tobytes()
+        scalar = _arc_distance(a[0][0], a[1][0], b[0][0], b[1][0])
+        assert isinstance(scalar, np.float64)
+        assert scalar == want[0, 0]
+
     def test_swapped_arguments_give_the_transpose(self):
         a, b = self._columns(4, 9), self._columns(5, 6)
         ab, ba = _cross_lags(*a, *b), _cross_lags(*b, *a)
         for m_ab, m_ba in zip(ab, ba):
             assert m_ab.tobytes() == np.ascontiguousarray(m_ba.T).tobytes()
+
+    @pytest.mark.parametrize("chunk", [1, 7 * 30])
+    def test_lag_kernel_chunks_write_the_same_bits(self, monkeypatch, chunk):
+        lat, lon, alt = self._columns(8, 30)
+        model = rs.CorrelationModel(0.7, 0.05, 0.005, 0.1, 3.0)
+        for model_at in (model.covariance_at, model.semivariogram_at):
+            want = model_at(*_cross_lags(lat, lon, alt, lat, lon, alt))
+            # one chunk; then one row, or 7 rows and a ragged last chunk
+            one = _lag_kernel(model_at, lat, lon, alt)
+            with monkeypatch.context() as mp:
+                mp.setattr(geo, "_CHUNK_ELEMENTS", chunk)
+                got = _lag_kernel(model_at, lat, lon, alt)
+            for k in (one, got):
+                assert k.flags.f_contiguous
+                assert np.ascontiguousarray(k).tobytes() == want.tobytes()
 
 
 def grid_nodes(n_rows, n_cols, spacing=7.0, alt=60.0):
@@ -176,13 +221,20 @@ class TestGridLags:
         monkeypatch.setattr(geo, "_BLOCK_ELEMENTS", 1)
         blocks = list(_blocks(lat.size, 5))
         assert len(blocks) > 1
+        wide = np.zeros((5, 24 + 2))
         for b in blocks:
             want_h, want_v = _cross_lags(*pts, lat[b], lon[b], alt[b])
+            assert want_h.tobytes() == haversine(
+                pts[0][:, None], pts[1][:, None], lat[b], lon[b]).tobytes()
             d_h, d_v = _grid_lags(*pts, *axes, alt[0], b)
             assert d_h.tobytes() == want_h.tobytes()
             assert d_v.shape == (5, 1)
             assert np.broadcast_to(d_v, want_v.shape).tobytes() \
                 == want_v.tobytes()
+            # into a column range of a wider array, as a chunk of k0 rows
+            out = wide[:, 1:1 + b.stop - b.start]
+            assert _grid_lags(*pts, *axes, alt[0], b, out)[0] is out
+            assert out.tobytes() == want_h.tobytes()
 
 
 class TestLinkGeometry:

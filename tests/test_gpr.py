@@ -163,27 +163,39 @@ def test_blocks_do_not_change_fit_or_prediction(monkeypatch):
     z = field_of(pts, CORR, 2.0, seed=40)
     grid = [offset_point(GS, 20.0 + 23.0 * (k % 16), 25.0 + 27.0 * (k // 16),
                          60.0) for k in range(110)]
+    spec = rs.GridSpec(origin=offset_point(GS, 30.0, 40.0, 60.0),
+                       spacing_m=19.0, n_rows=9, n_cols=23, alt_m=60.0)
+    lat, lon = (g.ravel() for g in spec.node_latlon())
     # training locations too: with no noise their variances round to
-    # either side of 0, so some are clamped
-    targets = coords(pts + grid)
+    # either side of 0, so some are clamped; and the row-major nodes of
+    # a grid, which take geo._grid_lags
+    target_sets = (coords(pts + grid), (lat, lon, np.full(lat.size, 60.0)))
 
     def fit_and_predict():
         m = gpr_fit(samples_of(pts, z), CORR, sigma_y=2.0, sigma_gp=0.0)
-        zh, var = gpr_predict_batch(m, *targets)
-        return m, zh, var, gpr_predict_mean(m, *targets)
+        out = [m._cho[0], m._alpha]
+        for targets in target_sets:
+            zh, var = gpr_predict_batch(m, *targets)
+            out += [zh, var, gpr_predict_mean(m, *targets)]
+        return m.clamp_events, out
 
-    m1, zh1, var1, mean1 = fit_and_predict()
+    clamps, want = fit_and_predict()
+    assert clamps > 0
     # the mean alone is the same bits as the mean beside the variance
-    assert np.array_equal(mean1, zh1)
-    # 24 items per block: 7 column blocks of the kernel, 11 target blocks
-    monkeypatch.setattr(geo, "_BLOCK_ELEMENTS", 1)
-    m2, zh2, var2, mean2 = fit_and_predict()
-    assert np.array_equal(m1._cho[0], m2._cho[0])
-    assert np.array_equal(m1._alpha, m2._alpha)
-    assert np.array_equal(zh1, zh2)
-    assert np.array_equal(var1, var2)
-    assert np.array_equal(mean1, mean2)
-    assert m1.clamp_events == m2.clamp_events > 0
+    assert np.array_equal(want[4], want[2])
+    assert np.array_equal(want[7], want[5])
+    # 24 targets per block (11 and 9 blocks); one kernel column or
+    # training row per chunk; 7 training rows per chunk of a 24-target
+    # block, the last chunk ragged
+    for patch in ({"_BLOCK_ELEMENTS": 1}, {"_CHUNK_ELEMENTS": 1},
+                  {"_BLOCK_ELEMENTS": 1, "_CHUNK_ELEMENTS": 7 * 24}):
+        with monkeypatch.context() as mp:
+            for name, value in patch.items():
+                mp.setattr(geo, name, value)
+            got_clamps, got = fit_and_predict()
+        assert got_clamps == clamps
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
 
 
 def test_grid_targets_take_the_grid_lags_with_the_same_bits(monkeypatch):

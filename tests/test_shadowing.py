@@ -548,6 +548,29 @@ def test_correlation_random_pairs_against_formula():
         assert m.correlation_at(dh, dv) == pytest.approx(want, rel=1e-12)
 
 
+def test_model_out_forms_write_the_same_bits():
+    rng = np.random.default_rng(10)
+    d_h = rng.uniform(0.0, 400.0, (6, 50))
+    for d_v in (rng.uniform(0.0, 40.0, (6, 1)), rng.uniform(0.0, 40.0, (6, 50))):
+        # the model as one allocating expression: the reference
+        r = np.exp(-CORR.q * d_v) * (CORR.a * np.exp(-CORR.p1 * d_h)
+                                     + (1.0 - CORR.a) * np.exp(-CORR.p2 * d_h))
+        s2 = CORR.sigma_z**2
+        for name, want in (("correlation_at", r), ("covariance_at", s2 * r),
+                           ("semivariogram_at", s2 * (1.0 - r))):
+            at = getattr(CORR, name)
+            assert at(d_h, d_v).tobytes() == want.tobytes()
+            # into d_h itself, and into a column range of a wider array
+            lags = d_h.copy()
+            assert at(lags, d_v, lags) is lags
+            out = np.zeros((6, 53))[:, 2:52]
+            out[:] = d_h
+            assert at(out, d_v, out) is out
+            for o in (lags, out):
+                assert o.tobytes() == want.tobytes()
+    assert isinstance(CORR.covariance_at(120.0, 10.0), np.float64)
+
+
 def test_model_validation():
     good = dict(a=0.5, p1=0.1, p2=0.01, q=0.1, sigma_z=1.0)
     bad = [dict(a=1.2), dict(p1=-0.1), dict(sigma_z=-3.0)]
