@@ -56,6 +56,8 @@ from .gpr import (
 from .kriging import (
     KrigingConfig,
     NormalScoreTransform,
+    _group_estimates,
+    _solve_group,
     _systems,
     normal_score,
     predict_batch,
@@ -452,7 +454,10 @@ def _residuals_kriging(cfg, fit, data, s_idx, z_m, t_idx, counters):
     equal neighbour count k (at most 2 MB of model matrices at a time)
     and its neighbour order (distance, then ``seq``), and each estimate
     is written as it writes it.  Each target's system is solved by its
-    own ``solve_ordinary`` or ``solve_simple`` call, looked up here.
+    own ``solve_ordinary`` or ``solve_simple`` call, looked up here and
+    passed to ``kriging._solve_group``, which checks, lifts and retries
+    once per group; the estimates and variances are written once per
+    group by ``kriging._group_estimates``.
     The TG methods krige normal scores with the score-domain model and
     back-transform them in one call; without a transform they run as
     the plain variant.  ``counters`` gains the fallback targets and the
@@ -472,6 +477,7 @@ def _residuals_kriging(cfg, fit, data, s_idx, z_m, t_idx, counters):
     kriged = np.zeros(len(t_idx), dtype=bool)
     mse = np.zeros(len(t_idx))
     mu = np.zeros(len(t_idx))
+    solve = solve_ordinary if ordinary else solve_simple
     for targets, idx, a_nn, a_t in _systems(samples, model, ordinary,
                                             data.lat[t_idx], data.lon[t_idx],
                                             data.alt[t_idx], cfg.radius_m):
@@ -479,19 +485,12 @@ def _residuals_kriging(cfg, fit, data, s_idx, z_m, t_idx, counters):
         counters["systems"] += g
         counters["k_sum"] += g * k
         counters["k_max"] = max(counters["k_max"], k)
+        sol = _solve_group(solve, ordinary, a_nn, a_t, cfg.jitter, counters)
         nb = values[idx] if ordinary else values[idx] - mean
-        for t, g_nn, g_t, g_nb in zip(targets, a_nn, a_t, nb):
-            if ordinary:
-                w, mu[t] = solve_ordinary(g_nn, g_t, cfg.jitter,
-                                          _counters=counters)
-                out[t] = w @ g_nb
-            else:
-                w = solve_simple(g_nn, g_t, cfg.jitter, _counters=counters)
-                out[t] = mean + w @ g_nb
-            if transform is not None:
-                var = (w @ g_t + mu[t] if ordinary
-                       else model.sigma_z**2 - w @ g_t)
-                mse[t] = max(float(var), 0.0)
+        out[targets], mse[targets], g_mu = _group_estimates(
+            ordinary, sol, a_t, nb, mean, model.sigma_z**2)
+        if ordinary:
+            mu[targets] = g_mu
         kriged[targets] = True
     counters["fallback_targets"] += int(np.count_nonzero(~kriged))
     if transform is not None:

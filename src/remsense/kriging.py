@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 from scipy.interpolate import PchipInterpolator
 from scipy.special import ndtri
 
@@ -48,6 +49,7 @@ class KrigingConfig:
 
     def __post_init__(self):
         _check_real("radius_m", self.radius_m, positive=True)
+        _check_real("mean_z", self.mean_z)
         _check_real("jitter", self.jitter, positive=False)
 
 
@@ -73,52 +75,126 @@ class KrigingPrediction:
 _GROUP_ELEMENTS = 1 << 18
 
 
-def _solve_with_retry(mat: np.ndarray, rhs: np.ndarray, jitter: float,
-                      n_data: int, counters: dict = None):
-    """Solve, retrying once with a diagonal lift on the data block.
-
-    ``counters``, when given, gains one ``jitter_retries`` per lift.
-    """
-    try:
-        sol = np.linalg.solve(mat, rhs)
-        if np.isfinite(sol).all():
-            return sol
-    except np.linalg.LinAlgError:
-        pass
-    if counters is not None:
-        counters["jitter_retries"] += 1
-    lifted = mat.copy()
-    lifted[np.arange(n_data), np.arange(n_data)] += jitter
-    try:
-        sol = np.linalg.solve(lifted, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(f"kriging system singular even with jitter: {exc}")
-    if not np.isfinite(sol).all():
-        raise SingularSystem("kriging system produced non-finite weights")
-    return sol
+# read-only (k + 1)^2 borders of the ordinary-kriging matrix, kept for
+# k <= _BORDER_MAX_K (0.75 MB in all): copying one and filling its data
+# block takes about two thirds of the time of building a fresh matrix
+_BORDERS = {}
+_BORDER_MAX_K = 64
 
 
-def solve_ordinary(gamma_nn: np.ndarray, gamma_t: np.ndarray, jitter: float,
-                   _counters: dict = None):
-    """Weights and Lagrange multiplier of the ordinary-kriging system."""
+def _bordered(gamma_nn: np.ndarray, gamma_t: np.ndarray):
+    """The ordinary-kriging matrix and right-hand side: the semivariogram
+    system bordered by the unit-sum row and column."""
     k = gamma_nn.shape[0]
-    mat = np.empty((k + 1, k + 1))
+    border = _BORDERS.get(k)
+    if border is None:
+        border = np.ones((k + 1, k + 1))
+        border[k, k] = 0.0
+        border.flags.writeable = False
+        if k <= _BORDER_MAX_K:
+            _BORDERS[k] = border
+    mat = border.copy()
     mat[:k, :k] = gamma_nn
-    mat[:k, k] = 1.0
-    mat[k, :k] = 1.0
-    mat[k, k] = 0.0
     rhs = np.empty(k + 1)
     rhs[:k] = gamma_t
     rhs[k] = 1.0
-    sol = _solve_with_retry(mat, rhs, jitter, k, _counters)
-    return sol[:k], float(sol[k])
+    return mat, rhs
 
 
-def solve_simple(cov_nn: np.ndarray, cov_t: np.ndarray, jitter: float,
-                 _counters: dict = None):
-    """Weights of the simple-kriging system."""
-    k = cov_nn.shape[0]
-    return _solve_with_retry(cov_nn, cov_t, jitter, k, _counters)
+def solve_ordinary(gamma_nn: np.ndarray, gamma_t: np.ndarray) -> np.ndarray:
+    """Solution of one ordinary-kriging system: the k weights, then the
+    Lagrange multiplier.
+
+    ``gamma_nn`` is the k x k semivariogram matrix among the neighbours
+    and ``gamma_t`` the semivariogram from them to the target.  The
+    bordered system goes to numpy's own solve loop, the one
+    ``np.linalg.solve`` calls for float64, so the bits are its bits, but
+    with none of its checks: a singular system gives NaN, with numpy's
+    invalid-value warning unless the caller silences it.
+    """
+    mat, rhs = _bordered(gamma_nn, gamma_t)
+    return _umath_linalg.solve1(mat, rhs, signature="dd->d")
+
+
+def solve_simple(cov_nn: np.ndarray, cov_t: np.ndarray) -> np.ndarray:
+    """Weights of one simple-kriging system.
+
+    ``cov_nn`` is the k x k covariance matrix among the neighbours and
+    ``cov_t`` the covariance from them to the target.  Solved as
+    :func:`solve_ordinary` solves, with the bits of ``np.linalg.solve``:
+    NaN for a singular system.
+    """
+    return _umath_linalg.solve1(cov_nn, cov_t, signature="dd->d")
+
+
+def _solve_group(solve, ordinary: bool, a_nn: np.ndarray, a_t: np.ndarray,
+                 jitter: float, counters: dict = None) -> np.ndarray:
+    """Solutions of one k group's systems, one ``solve`` call each.
+
+    ``solve`` is :func:`solve_ordinary` when ``ordinary``, else
+    :func:`solve_simple`, or a function that calls it: the caller
+    passes the one it looks up.  ``a_nn`` (G, k, k) and ``a_t`` (G, k)
+    are the group's systems, as :func:`_systems` yields them.  Returns
+    the (G, k + 1) solutions (weights, then the Lagrange multiplier)
+    when ``ordinary``, else the (G, k) weights.
+
+    The solves run under one ``errstate``, and one ``isfinite`` pass
+    finds the systems without a finite solution.  Each of those is
+    solved again by ``np.linalg.solve`` with ``jitter`` added once to
+    its data diagonal, and ``counters``, when given, gains one
+    ``jitter_retries`` for it.
+
+    Raises:
+        SingularSystem: a system still singular, or with non-finite
+            weights, after the lift.
+    """
+    g, k = a_t.shape
+    sol = np.empty((g, k + 1 if ordinary else k))
+    with np.errstate(all="ignore"):
+        for row, m, t in zip(sol, a_nn, a_t):
+            row[:] = solve(m, t)
+        bad = np.flatnonzero(~np.isfinite(sol).all(axis=1))
+    for i in bad:
+        if counters is not None:
+            counters["jitter_retries"] += 1
+        if ordinary:
+            mat, rhs = _bordered(a_nn[i], a_t[i])
+        else:
+            mat, rhs = a_nn[i].copy(), a_t[i]
+        data = np.arange(k)
+        mat[data, data] += jitter
+        try:
+            sol[i] = np.linalg.solve(mat, rhs)
+        except np.linalg.LinAlgError as exc:
+            raise SingularSystem(
+                f"kriging system singular even with jitter: {exc}")
+        if not np.isfinite(sol[i]).all():
+            raise SingularSystem("kriging system produced non-finite weights")
+    return sol
+
+
+def _dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a[i] @ b[i]`` for each row i of two (G, k) arrays, bit for bit,
+    by one stacked ``matmul``."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def _group_estimates(ordinary: bool, sol: np.ndarray, a_t: np.ndarray,
+                     nb: np.ndarray, mean: float, sill: float):
+    """Estimates, kriging variances and Lagrange multipliers (None for
+    simple kriging) of one k group, from :func:`_solve_group`'s
+    solutions ``sol``, the model vectors ``a_t`` and the neighbours'
+    values ``nb`` (G, k), less ``mean`` for simple kriging.  Each is the
+    per-system ``w @ nb`` and ``max(w @ a_t + mu, 0)`` or ``mean + w @ nb``
+    and ``max(sill - w @ a_t, 0)``, bit for bit."""
+    k = a_t.shape[1]
+    w = sol[:, :k]
+    if ordinary:
+        mu = sol[:, k]
+        return (_dot_rows(w, nb), np.maximum(_dot_rows(w, a_t) + mu, 0.0),
+                mu)
+    return (mean + _dot_rows(w, nb), np.maximum(sill - _dot_rows(w, a_t), 0.0),
+            None)
 
 
 class NormalScoreTransform:
@@ -313,8 +389,10 @@ def predict_batch(samples, model: CorrelationModel, lat, lon, alt,
     neighbour count, gathered out of a per-block model matrix in chunks
     of at most 2 MB, so a target's result does not depend on the batch
     around it.  Each system is still solved by its own
-    :func:`solve_ordinary` or :func:`solve_simple` call, and its
-    estimate written with ``@``.
+    :func:`solve_ordinary` or :func:`solve_simple` call, a bare LAPACK
+    solve; the finiteness check, the jitter retry and the estimates,
+    variances and multipliers (one stacked ``matmul`` each, with the
+    bits of a per-system ``@``) are done once per group.
 
     Returns:
         A :class:`KrigingPrediction` of per-target arrays.
@@ -347,18 +425,15 @@ def predict_batch(samples, model: CorrelationModel, lat, lon, alt,
     if transform is not None:
         values = np.asarray(transform.forward(values), dtype=float)
         mean = transform.mean_u
+    solve = solve_ordinary if ordinary else solve_simple
     for targets, idx, a_nn, a_t in _systems(s, model, ordinary, lat, lon,
                                             alt, cfg.radius_m):
+        sol = _solve_group(solve, ordinary, a_nn, a_t, cfg.jitter)
         nb = values[idx] if ordinary else values[idx] - mean
-        for t, g_nn, g_t, g_nb in zip(targets, a_nn, a_t, nb):
-            if ordinary:
-                w, mu[t] = solve_ordinary(g_nn, g_t, cfg.jitter)
-                z_hat[t] = w @ g_nb
-                mse[t] = max(float(w @ g_t + mu[t]), 0.0)
-            else:
-                w = solve_simple(g_nn, g_t, cfg.jitter)
-                z_hat[t] = mean + w @ g_nb
-                mse[t] = max(float(model.sigma_z**2 - w @ g_t), 0.0)
+        z_hat[targets], mse[targets], g_mu = _group_estimates(
+            ordinary, sol, a_t, nb, mean, model.sigma_z**2)
+        if ordinary:
+            mu[targets] = g_mu
         used[targets] = idx.shape[1]
     fallback = used == 0
     if transform is not None:

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -9,9 +10,14 @@ from remsense.geo import (_arc_distance, _cross_lags, _lags, _point_columns,
 from remsense.kriging import (
     KrigingConfig,
     NormalScoreTransform,
+    _dot_rows,
+    _group_estimates,
+    _solve_group,
     _systems,
     normal_score,
     predict,
+    solve_ordinary,
+    solve_simple,
 )
 from remsense.shadowing import transformed_model
 
@@ -506,6 +512,10 @@ def test_kriging_config_validation():
     for jitter in (-1.0, np.nan, np.inf):
         with pytest.raises(rs.RangeError, match="jitter must be non-negative"):
             KrigingConfig(radius_m=100.0, jitter=jitter)
+    for mean_z in (np.nan, np.inf, "1.0", True):
+        with pytest.raises(rs.RangeError, match="mean_z must be finite"):
+            KrigingConfig(radius_m=100.0, variant="SK", mean_z=mean_z)
+    assert KrigingConfig(radius_m=100.0, mean_z=np.float64(-1.5)).mean_z == -1.5
 
 
 # ---------------------------------------------------------- batched engine
@@ -726,3 +736,125 @@ def test_predict_batch_validates_like_predict():
                          KrigingConfig(radius_m=50.0))
     empty = rs.predict_batch(sf, CORR, [], [], [], KrigingConfig(radius_m=50.0))
     assert empty.z_hat.shape == (0,)
+
+
+# ------------------------------------------------------------- solve path
+
+def _spd_group(g, k, seed):
+    """``g`` well-posed k x k systems: covariance-like matrices and
+    right-hand sides."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((g, k, k + 2))
+    a = x @ x.transpose(0, 2, 1) / (k + 2) + np.eye(k)
+    return a, rng.uniform(0.1, 1.0, (g, k))
+
+
+def _bordered_oracle(a, t):
+    k = len(t)
+    mat = np.ones((k + 1, k + 1))
+    mat[:k, :k] = a
+    mat[k, k] = 0.0
+    return mat, np.r_[t, 1.0]
+
+
+@pytest.mark.parametrize("k", [1, 2, 7, 20, 39])
+def test_solvers_equal_numpy_solve_bit_for_bit(k):
+    a, t = _spd_group(6, k, seed=k)
+    # strided rows: every other system of a wider group, each matrix a
+    # corner of a larger one and each right-hand side a strided column
+    big = np.zeros((12, k + 3, k + 3))
+    big[::2, :k, :k] = a
+    big_t = np.zeros((12, 2 * k))
+    big_t[::2, ::2] = t
+    for rows in ((a, t), (big[::2, :k, :k], big_t[::2, ::2])):
+        for m, v in zip(*rows):
+            w = solve_simple(m, v)
+            assert w.shape == (k,)
+            np.testing.assert_array_equal(w, np.linalg.solve(m, v))
+            sol = solve_ordinary(m, v)
+            assert sol.shape == (k + 1,)
+            np.testing.assert_array_equal(
+                sol, np.linalg.solve(*_bordered_oracle(m, v)))
+
+
+def test_bare_solve_of_a_singular_system_is_nan():
+    a = np.ones((2, 2))
+    with pytest.warns(RuntimeWarning):
+        assert np.isnan(solve_simple(a, np.ones(2))).all()
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(solve_ordinary(a, np.ones(2))).all()
+
+
+@pytest.mark.parametrize("ordinary", [True, False])
+def test_solve_group_retries_only_the_singular_system(ordinary):
+    a, t = _spd_group(3, 4, seed=5)
+    # the middle system holds a duplicate neighbour; its entries keep the
+    # elimination exact, so a pivot is exactly zero
+    a[1] = [[2, 1, 0, 0], [1, 2, 0, 0], [0, 0, 1, 1], [0, 0, 1, 1]]
+    solve = solve_ordinary if ordinary else solve_simple
+    counters = {"jitter_retries": 0}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = _solve_group(solve, ordinary, a, t, 1e-6, counters)
+    assert counters == {"jitter_retries": 1}
+    assert sol.shape == (3, 5 if ordinary else 4)
+    for i in (0, 2):
+        np.testing.assert_array_equal(sol[i], solve(a[i], t[i]))
+    mat, rhs = _bordered_oracle(a[1], t[1]) if ordinary else (a[1].copy(),
+                                                              t[1])
+    mat[range(4), range(4)] += 1e-6
+    np.testing.assert_array_equal(sol[1], np.linalg.solve(mat, rhs))
+    # without counters the retry is the same
+    np.testing.assert_array_equal(_solve_group(solve, ordinary, a, t, 1e-6),
+                                  sol)
+
+
+@pytest.mark.parametrize("ordinary", [True, False])
+def test_solve_group_raises_when_the_lift_does_not_help(ordinary):
+    a, t = _spd_group(2, 3, seed=6)
+    a[0] = [[2, 0, 0], [0, 1, 1], [0, 1, 1]]
+    solve = solve_ordinary if ordinary else solve_simple
+    counters = {"jitter_retries": 0}
+    with pytest.raises(rs.SingularSystem,
+                       match="^kriging system singular even with jitter: "
+                             "Singular matrix$"):
+        _solve_group(solve, ordinary, a, t, 0.0, counters)
+    assert counters == {"jitter_retries": 1}
+    a[1, 0, 1] = a[1, 1, 0] = np.nan
+    with pytest.raises(rs.SingularSystem,
+                       match="^kriging system produced non-finite weights$"):
+        _solve_group(solve, ordinary, a[1:], t[1:], 1e-6)
+
+
+def test_stacked_dot_products_equal_per_row_matmul():
+    rng = np.random.default_rng(8)
+    for k in range(1, 129):
+        # strided rows, as the weights of an ordinary-kriging solution are
+        sol = rng.standard_normal((5, k + 1))
+        values = rng.standard_normal(3 * k)
+        nb = values[rng.integers(0, 3 * k, (5, k))]
+        got = _dot_rows(sol[:, :k], nb)
+        for i in range(5):
+            assert got[i] == sol[i, :k] @ nb[i]
+
+
+@pytest.mark.parametrize("ordinary", [True, False])
+def test_group_estimates_equal_per_system_formulas(ordinary):
+    a, t = _spd_group(7, 9, seed=9)
+    solve = solve_ordinary if ordinary else solve_simple
+    sol = _solve_group(solve, ordinary, a, t, 1e-6)
+    values = np.random.default_rng(10).standard_normal((7, 9))
+    mean, sill = 0.3, 1.7
+    nb = values if ordinary else values - mean
+    est, var, mu = _group_estimates(ordinary, sol, t, nb, mean, sill)
+    for i in range(7):
+        if ordinary:
+            w, m = sol[i, :9], sol[i, 9]
+            assert mu[i] == m
+            assert est[i] == w @ nb[i]
+            assert var[i] == max(float(w @ t[i] + m), 0.0)
+        else:
+            w = sol[i]
+            assert est[i] == mean + w @ nb[i]
+            assert var[i] == max(float(sill - w @ t[i]), 0.0)
+    assert (mu is None) == (not ordinary)

@@ -13,7 +13,10 @@ writes:
 * ``monte_carlo_eval`` ``to_dict()`` of all seven methods on the zigzag
   campaigns, plain and calibrated;
 * the c06 kriging evals (OK, SK, TG_OK, TG_SK) at R = 200, 70 and 30 m;
+* the ``sweep`` CSVs of the zigzag OK eval along ``M`` and ``R``, and
+  along ``method`` over the four kriging methods;
 * the ``synth`` CSV of the bulk scene and the ``calibrate`` CSV of it;
+* the ``fit-corr`` JSON of the zigzag train campaign;
 * the ``reconstruct`` grid of every method on the zigzag train campaign.
 
 With ``--against DIR`` a second child writes the same outputs with
@@ -40,6 +43,7 @@ THREAD_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
 METHODS = ("TRPL_only", "OK", "SK", "TG_OK", "TG_SK", "GPR", "MC_GPR")
 KRIGING = ("OK", "SK", "TG_OK", "TG_SK")
 C06_RADII_M = (200.0, 70.0, 30.0)
+SWEEPS = (("M", (50, 100, 200)), ("R", C06_RADII_M), ("method", KRIGING))
 ITERATIONS = 4
 # the zigzag train campaign has too few rows for the default 5-degree
 # bins of at least 25 samples
@@ -65,19 +69,21 @@ def write_outputs(manifest, outdir):
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
     import workloads
     from remsense.cli import main
-    from remsense.evaluation import EvalConfig, monte_carlo_eval
+    from remsense.evaluation import EvalConfig, monte_carlo_eval, sweep
 
     paths = manifest["paths"]
     gs, prop = workloads.station()
 
+    def config(method, train, test, **kw):
+        return EvalConfig(gs=gs, prop=prop, method=method,
+                          train_campaign=paths[train],
+                          test_campaign=paths[test], iterations=ITERATIONS,
+                          seed=manifest["eval_seed"], **kw)
+
     def evaluate(name, method, train, test, **kw):
-        cfg = EvalConfig(gs=gs, prop=prop, method=method,
-                         train_campaign=paths[train], test_campaign=paths[test],
-                         iterations=ITERATIONS, seed=manifest["eval_seed"],
-                         **kw)
+        report = monte_carlo_eval(config(method, train, test, **kw))
         with open(os.path.join(outdir, f"{name}.json"), "w") as fh:
-            json.dump(monte_carlo_eval(cfg).to_dict(), fh, indent=1,
-                      sort_keys=True)
+            json.dump(report.to_dict(), fh, indent=1, sort_keys=True)
 
     def cli(*argv):
         with open(os.devnull, "w") as null, contextlib.redirect_stdout(null):
@@ -92,10 +98,16 @@ def write_outputs(manifest, outdir):
         for radius in C06_RADII_M:
             evaluate(f"c06-{method}-R{radius:g}", method, "c06_train",
                      "c06_test", radius_m=radius)
+    for axis, values in SWEEPS:
+        sweep(config("OK", "zz_train", "zz_test"), axis, values,
+              out_csv=os.path.join(outdir, f"sweep-{axis}.csv"))
     synth = os.path.join(outdir, "synth.csv")
     cli("synth", "--scene", paths["bulk_scene"], "--out", synth)
     cli("calibrate", "--measurements", synth, "--config", paths["bulk_cfg"],
         "--out", os.path.join(outdir, "calibrate.csv"))
+    cli("fit-corr", "--measurements", paths["zz_train"],
+        "--config", paths["zz_cfg"],
+        "--out", os.path.join(outdir, "fit-corr.json"))
     for method in METHODS:
         cli("reconstruct", "--measurements", paths["zz_train"],
             "--config", paths["zz_cfg"], "--method", method,
